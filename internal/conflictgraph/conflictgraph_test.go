@@ -350,3 +350,86 @@ func TestWriteDOTMarksPathologies(t *testing.T) {
 		t.Fatalf("edges missing:\n%s", dot)
 	}
 }
+
+// TestKillLandsOnlyOnOpenAttempt: a kill CAS lands only if it is the first
+// one aimed at the victim's open attempt (from any killer), or at a core
+// the window has no history for yet. CASes against a finished or already
+// killed attempt change nothing, so they add no abort edge and no
+// friendly-fire verdict; the raw per-core counter still sees them.
+func TestKillLandsOnlyOnOpenAttempt(t *testing.T) {
+	var s stream
+	// Core 1 has no history yet: its head attempt was truncated away, so
+	// the kill lands on it.
+	s.add(0, flight.AbortEnemy, 1, 0, 0)
+	s.add(1, flight.TxnAbort, -1, 0, 0)
+	// Core 1 is between attempts: both CASes hit a finished attempt.
+	s.add(0, flight.AbortEnemy, 1, 0, 0)
+	s.add(2, flight.AbortEnemy, 1, 0, 0)
+	// A fresh attempt: core 2's kill lands first, core 0's is a no-op.
+	s.add(1, flight.TxnBegin, -1, 0, 0)
+	s.add(1, flight.CSTSet, 2, uint8(cst.WW), 0x40)
+	s.add(2, flight.AbortEnemy, 1, 0, 0)
+	s.add(0, flight.AbortEnemy, 1, 0, 0)
+	s.add(1, flight.TxnAbort, -1, 0, 0)
+	// A self-abort verdict closes the attempt to later kills too.
+	s.add(1, flight.TxnBegin, -1, 0, 0)
+	s.add(1, flight.AbortSelf, 0, 0, 0)
+	s.add(0, flight.AbortEnemy, 1, 0, 0)
+	s.add(1, flight.TxnAbort, -1, 0, 0)
+	rep := Analyze(s.recs, Options{Cores: 3})
+	want := []AbortEdge{{Killer: 0, Victim: 1, Kills: 1}, {Killer: 2, Victim: 1, Kills: 1}}
+	if len(rep.AbortEdges) != len(want) {
+		t.Fatalf("abort edges = %+v, want %+v", rep.AbortEdges, want)
+	}
+	for i := range want {
+		if rep.AbortEdges[i] != want[i] {
+			t.Fatalf("abort edges = %+v, want %+v", rep.AbortEdges, want)
+		}
+	}
+	if rep.Has(FriendlyFire) {
+		t.Fatalf("a kill that did not land was judged friendly fire: %+v", rep.Pathologies)
+	}
+	if rep.PerCore[0].Kills != 4 || rep.PerCore[2].Kills != 2 {
+		t.Fatalf("raw kills = %d/%d, want 4/2", rep.PerCore[0].Kills, rep.PerCore[2].Kills)
+	}
+}
+
+// TestStarvationReportsLongestRun: the verdict describes the longest run
+// and the killers whose kills landed during that run, not whatever run is
+// in progress when the stream ends.
+func TestStarvationReportsLongestRun(t *testing.T) {
+	var s stream
+	run := func(killer, n int) {
+		for i := 0; i < n; i++ {
+			s.add(2, flight.TxnBegin, -1, 0, 0)
+			s.add(2, flight.CSTSet, killer, uint8(cst.WR), 0x100)
+			s.add(killer, flight.AbortEnemy, 2, 0, 0)
+			s.add(2, flight.TxnAbort, -1, 0, 0)
+		}
+		s.add(2, flight.TxnBegin, -1, 0, 0)
+		s.add(2, flight.TxnCommit, -1, 0, 0)
+	}
+	run(0, 12)
+	run(3, 8)
+	run(1, 1)
+	rep := Analyze(s.recs, Options{Cores: 4})
+	var chains []Pathology
+	for _, p := range rep.Pathologies {
+		if p.Kind == StarvationChain {
+			chains = append(chains, p)
+		}
+	}
+	if len(chains) != 1 {
+		t.Fatalf("starvation verdicts = %+v, want one", chains)
+	}
+	p := chains[0]
+	if p.Count != 12 || uint64(rep.PerCore[2].MaxAbortRun) != p.Count {
+		t.Fatalf("count = %d, MaxAbortRun = %d, want both 12", p.Count, rep.PerCore[2].MaxAbortRun)
+	}
+	if len(p.Cores) != 2 || p.Cores[0] != 2 || p.Cores[1] != 0 {
+		t.Fatalf("cores = %v, want victim 2 then killer 0 of the longest run", p.Cores)
+	}
+	if !strings.Contains(p.Detail, "killers [0]") {
+		t.Fatalf("detail names the wrong killers: %q", p.Detail)
+	}
+}
