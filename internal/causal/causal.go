@@ -26,9 +26,10 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"flextm/internal/flight"
 	"flextm/internal/sim"
@@ -89,12 +90,12 @@ type Attempt struct {
 	Backoff    sim.Time `json:"backoff,omitempty"`    // retry back-off after an abort
 
 	// Abort lineage, meaningful when Outcome == Aborted.
-	KillerCore  int      `json:"killerCore"`            // -1 when unattributed
-	KillerIndex int      `json:"killerIndex"`           // killer's attempt ordinal
-	KillAt      sim.Time `json:"killAt,omitempty"`      // when the killer CASed us
-	KillLine    uint64   `json:"killLine,omitempty"`    // the conflicting line
-	KillFP      bool     `json:"killFP,omitempty"`      // conflict was a signature false positive
-	SelfKill    bool     `json:"selfKill,omitempty"`    // CM abort-self verdict (yielded to KillerCore)
+	KillerCore  int      `json:"killerCore"`         // -1 when unattributed
+	KillerIndex int      `json:"killerIndex"`        // killer's attempt ordinal
+	KillAt      sim.Time `json:"killAt,omitempty"`   // when the killer CASed us
+	KillLine    uint64   `json:"killLine,omitempty"` // the conflicting line
+	KillFP      bool     `json:"killFP,omitempty"`   // conflict was a signature false positive
+	SelfKill    bool     `json:"selfKill,omitempty"` // CM abort-self verdict (yielded to KillerCore)
 
 	stalls []stall
 }
@@ -182,59 +183,12 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 	if len(recs) == 0 {
 		return nil
 	}
-	n := opts.Cores
-	for _, r := range recs {
-		if int(r.Core) >= n {
-			n = int(r.Core) + 1
-		}
-		if int(r.Peer) >= n {
-			n = int(r.Peer) + 1
-		}
-	}
+	f := flight.NewFold(recs, opts.Cores)
+	n := f.Cores
+	rep := &Report{Cores: n, WinStart: f.Start, WinEnd: f.End}
 
-	winStart, winEnd := recs[0].At, recs[0].At
-	for _, r := range recs {
-		if r.At < winStart {
-			winStart = r.At
-		}
-		if r.At > winEnd {
-			winEnd = r.At
-		}
-	}
-
-	rep := &Report{Cores: n, WinStart: winStart, WinEnd: winEnd}
-
-	// ---- Pass 1: reconstruct attempts. ----
+	// ---- Pass 1: reconstruct attempts from the lifecycle fold. ----
 	attempts := make([][]Attempt, n)
-	open := make([]int, n) // index+1 of the open attempt, 0 = none
-	synth := func(c int, at sim.Time) *Attempt {
-		attempts[c] = append(attempts[c], Attempt{
-			Core: c, Index: len(attempts[c]), Start: at, KillerCore: -1,
-		})
-		open[c] = len(attempts[c])
-		return &attempts[c][open[c]-1]
-	}
-	ensureOpen := func(c int, at sim.Time) *Attempt {
-		if open[c] != 0 {
-			return &attempts[c][open[c]-1]
-		}
-		// Window truncation: an event for an attempt whose begin was
-		// overwritten. Synthesize the node so lineage still resolves.
-		return synth(c, at)
-	}
-	// openOnly returns the core's open attempt; when there is none it
-	// synthesizes one only for a truncated stream head (no history for the
-	// core yet). A kill or stall aimed at a core with a *closed* history is
-	// a failed CAS on an already-dead attempt and must not invent nodes.
-	openOnly := func(c int, at sim.Time) *Attempt {
-		if open[c] != 0 {
-			return &attempts[c][open[c]-1]
-		}
-		if len(attempts[c]) == 0 {
-			return synth(c, at)
-		}
-		return nil
-	}
 	// Latest conflicting line per core pair, for attributing lazy
 	// commit-loop kills whose AbortEnemy record carries no line.
 	type lineFP struct {
@@ -249,77 +203,52 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 		return [2]int{a, b}
 	}
 
-	for _, r := range recs {
-		c := int(r.Core)
-		if c < 0 || c >= n {
-			continue
-		}
-		switch r.Kind {
-		case flight.TxnBegin:
-			if open[c] != 0 {
+	for f.Next() {
+		r := f.Rec
+		c, v := int(r.Core), f.Victim
+		if f.Event == flight.Begin || f.Synth {
+			if f.Cut {
 				// Missing terminator (overwritten record): close as open.
-				a := &attempts[c][open[c]-1]
-				a.End = r.At
+				attempts[v][len(attempts[v])-1].End = r.At
 			}
-			attempts[c] = append(attempts[c], Attempt{
-				Core: c, Index: len(attempts[c]), Start: r.At, KillerCore: -1,
+			attempts[v] = append(attempts[v], Attempt{
+				Core: v, Index: len(attempts[v]), Start: r.At, KillerCore: -1,
 			})
-			open[c] = len(attempts[c])
-		case flight.TxnCommit:
-			a := ensureOpen(c, r.At)
-			a.End = r.At
-			a.Outcome = Committed
-			a.Serialized = r.Aux&flight.AuxMask != 0
-			open[c] = 0
-		case flight.TxnAbort:
-			a := ensureOpen(c, r.At)
+		}
+		switch f.Event {
+		case flight.Commit, flight.Abort:
+			a := &attempts[c][len(attempts[c])-1]
 			a.End = r.At
 			a.Outcome = Aborted
-			open[c] = 0
-		case flight.AbortEnemy:
-			v := int(r.Peer)
-			if v < 0 || v >= n {
-				continue
+			if f.Event == flight.Commit {
+				a.Outcome = Committed
+				a.Serialized = r.Aux&flight.AuxMask != 0
 			}
-			a := openOnly(v, r.At)
-			if a == nil || a.KillAt != 0 || a.SelfKill {
-				continue // only the first CAS on an attempt lands
+		case flight.Kill:
+			a := &attempts[v][len(attempts[v])-1]
+			k := f.Killer
+			a.SelfKill = r.Kind == flight.AbortSelf
+			a.KillerCore = k
+			if k >= 0 {
+				a.KillerIndex = f.Attempt(k) // killer's current attempt
 			}
-			a.KillerCore = c
-			a.KillerIndex = len(attempts[c]) - 1 // killer's current attempt
 			a.KillAt = r.At
 			a.KillLine = uint64(r.Line)
 			a.KillFP = r.Aux&flight.AuxFP != 0
-			if a.KillLine == 0 {
+			if a.KillLine == 0 && k >= 0 {
 				// Lazy commit-loop kill: the CST register names only the
 				// core; charge the pair's most recent conflicting line.
-				if lf, ok := lastConflict[pairKey(c, v)]; ok {
+				if lf, ok := lastConflict[pairKey(k, v)]; ok {
 					a.KillLine, a.KillFP = lf.line, lf.fp
 				}
 			}
-		case flight.AbortSelf:
-			a := openOnly(c, r.At)
-			if a == nil || a.KillAt != 0 || a.SelfKill {
-				continue
-			}
-			a.SelfKill = true
-			a.KillerCore = int(r.Peer)
-			if a.KillerCore >= 0 && a.KillerCore < n {
-				a.KillerIndex = len(attempts[a.KillerCore]) - 1
-			}
-			a.KillAt = r.At
-			a.KillLine = uint64(r.Line)
-			a.KillFP = r.Aux&flight.AuxFP != 0
-			if a.KillLine == 0 && a.KillerCore >= 0 {
-				if lf, ok := lastConflict[pairKey(c, a.KillerCore)]; ok {
-					a.KillLine, a.KillFP = lf.line, lf.fp
-				}
-			}
+		}
+		switch r.Kind {
 		case flight.CMStall:
-			a := openOnly(c, r.At)
-			if a == nil {
+			if !f.Open(c) {
 				continue
 			}
+			a := &attempts[c][len(attempts[c])-1]
 			a.Stall += r.Dur
 			a.stalls = append(a.stalls, stall{
 				At: r.At, Dur: r.Dur,
@@ -328,12 +257,11 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 		case flight.Backoff:
 			// Back-off follows the abort that closed the attempt: charge
 			// the core's most recent closed attempt.
-			if m := len(attempts[c]); m > 0 && open[c] == 0 {
+			if m := len(attempts[c]); m > 0 && !f.Open(c) {
 				attempts[c][m-1].Backoff += r.Dur
 			}
 		case flight.CSTSet:
-			p := int(r.Peer)
-			if p >= 0 && p < n && r.Line != 0 {
+			if p := int(r.Peer); p >= 0 && r.Line != 0 {
 				lastConflict[pairKey(c, p)] = lineFP{
 					line: uint64(r.Line), fp: r.Aux&flight.AuxFP != 0,
 				}
@@ -342,15 +270,19 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 	}
 	// Close attempts truncated by the window's end.
 	for c := range attempts {
-		if open[c] != 0 {
-			a := &attempts[c][open[c]-1]
-			a.End = winEnd
+		if f.Open(c) {
+			a := &attempts[c][len(attempts[c])-1]
+			a.End = f.End
 			a.Outcome = Open
 		}
 	}
 	rep.PerCore = attempts
 
+	// Totals, and the wasted-work ledger over all aborted attempts, path or
+	// not.
 	var last *Attempt
+	waste := map[int]*Waste{}
+	pairs := map[[2]int]*PairBlame{}
 	for c := range attempts {
 		for i := range attempts[c] {
 			a := &attempts[c][i]
@@ -363,69 +295,45 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 				}
 			case Aborted:
 				rep.Aborts++
-			}
-		}
-	}
-
-	// ---- Wasted-work ledger (all aborted attempts, path or not). ----
-	waste := map[int]*Waste{}
-	pairs := map[[2]int]*PairBlame{}
-	for c := range attempts {
-		for i := range attempts[c] {
-			a := &attempts[c][i]
-			if a.Outcome != Aborted {
-				continue
-			}
-			dead := uint64(a.End - a.Start)
-			rep.WastedCycles += dead
-			k := a.KillerCore
-			wr := waste[k]
-			if wr == nil {
-				wr = &Waste{Killer: k}
-				waste[k] = wr
-			}
-			wr.Kills++
-			wr.Cycles += dead
-			if k >= 0 {
-				key := [2]int{k, c}
-				pb := pairs[key]
-				if pb == nil {
-					pb = &PairBlame{Killer: k, Victim: c}
-					pairs[key] = pb
+				dead := uint64(a.End - a.Start)
+				rep.WastedCycles += dead
+				k := a.KillerCore
+				wr := waste[k]
+				if wr == nil {
+					wr = &Waste{Killer: k}
+					waste[k] = wr
 				}
-				pb.Kills++
-				pb.Cycles += dead
+				wr.Kills++
+				wr.Cycles += dead
+				if k >= 0 {
+					pb := pairs[[2]int{k, c}]
+					if pb == nil {
+						pb = &PairBlame{Killer: k, Victim: c}
+						pairs[[2]int{k, c}] = pb
+					}
+					pb.Kills++
+					pb.Cycles += dead
+				}
 			}
 		}
 	}
 	for _, wr := range waste {
 		rep.Wasted = append(rep.Wasted, *wr)
 	}
-	sort.Slice(rep.Wasted, func(i, j int) bool {
-		a, b := rep.Wasted[i], rep.Wasted[j]
-		if a.Cycles != b.Cycles {
-			return a.Cycles > b.Cycles
-		}
-		return a.Killer < b.Killer
+	slices.SortFunc(rep.Wasted, func(a, b Waste) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), cmp.Compare(a.Killer, b.Killer))
 	})
 	for _, pb := range pairs {
 		rep.Pairs = append(rep.Pairs, *pb)
 	}
-	sort.Slice(rep.Pairs, func(i, j int) bool {
-		a, b := rep.Pairs[i], rep.Pairs[j]
-		if a.Cycles != b.Cycles {
-			return a.Cycles > b.Cycles
-		}
-		if a.Killer != b.Killer {
-			return a.Killer < b.Killer
-		}
-		return a.Victim < b.Victim
+	slices.SortFunc(rep.Pairs, func(a, b PairBlame) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), cmp.Compare(a.Killer, b.Killer), cmp.Compare(a.Victim, b.Victim))
 	})
 
 	// ---- Critical path: backward walk from the last commit. ----
 	makespan := opts.Makespan
 	if makespan <= 0 {
-		makespan = winEnd - winStart
+		makespan = f.End - f.Start
 	}
 	rep.Makespan = uint64(makespan)
 	if last == nil {
@@ -563,12 +471,8 @@ func Analyze(recs []flight.Rec, opts Options) *Report {
 		}
 		rep.Blame = append(rep.Blame, *b)
 	}
-	sort.Slice(rep.Blame, func(i, j int) bool {
-		a, b := rep.Blame[i], rep.Blame[j]
-		if a.Cycles != b.Cycles {
-			return a.Cycles > b.Cycles
-		}
-		return a.Line < b.Line
+	slices.SortFunc(rep.Blame, func(a, b Blame) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), cmp.Compare(a.Line, b.Line))
 	})
 	top := opts.TopBlame
 	if top <= 0 {

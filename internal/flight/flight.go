@@ -109,6 +109,16 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// ParseKind returns the kind whose String is name.
+func ParseKind(name string) (Kind, bool) {
+	for k, s := range kindNames {
+		if s == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
 // Rec is one recorded event. It is a fixed-size value type: recording one
 // is two index computations and a struct store, with no allocation and no
 // boxing.

@@ -33,6 +33,7 @@
 package flightql
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -261,21 +262,29 @@ func (e *cmpExpr) eval(g getter) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch e.op {
-	case "==":
-		return fv == lv, nil
-	case "!=":
-		return fv != lv, nil
-	case "<":
-		return fv < lv, nil
-	case "<=":
-		return fv <= lv, nil
-	case ">":
-		return fv > lv, nil
-	case ">=":
-		return fv >= lv, nil
+	if pass, ok := compare(e.op, fv, lv); ok {
+		return pass, nil
 	}
 	return false, fmt.Errorf("flightql: bad operator %q", e.op)
+}
+
+// compare applies a comparison operator; ok is false for an unknown one.
+func compare[T cmp.Ordered](op string, a, b T) (pass, ok bool) {
+	switch op {
+	case "==":
+		return a == b, true
+	case "!=":
+		return a != b, true
+	case "<":
+		return a < b, true
+	case "<=":
+		return a <= b, true
+	case ">":
+		return a > b, true
+	case ">=":
+		return a >= b, true
+	}
+	return false, false
 }
 
 // resolveLiteral maps an identifier literal to the numeric domain of the
@@ -287,20 +296,15 @@ func resolveLiteral(field string, l literal) (int64, error) {
 	}
 	switch field {
 	case "kind":
-		if k, ok := kindByName(l.ident); ok {
+		if k, ok := flight.ParseKind(l.ident); ok {
 			return int64(k), nil
 		}
 		return 0, fmt.Errorf("flightql: unknown record kind %q", l.ident)
 	case "status":
-		switch l.ident {
-		case "idle":
-			return int64(replay.Idle), nil
-		case "running":
-			return int64(replay.Running), nil
-		case "aborted":
-			return int64(replay.Aborted), nil
-		case "serialized":
-			return int64(replay.Serialized), nil
+		for st := replay.Idle; st <= replay.Serialized; st++ {
+			if st.String() == l.ident {
+				return int64(st), nil
+			}
 		}
 		return 0, fmt.Errorf("flightql: unknown status %q", l.ident)
 	case "fp":
@@ -313,15 +317,6 @@ func resolveLiteral(field string, l literal) (int64, error) {
 		return 0, fmt.Errorf("flightql: fp compares against true/false, not %q", l.ident)
 	}
 	return 0, fmt.Errorf("flightql: field %q needs a numeric literal, got %q", field, l.ident)
-}
-
-func kindByName(name string) (flight.Kind, bool) {
-	for k := flight.Kind(0); k < flight.NumKinds; k++ {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,22 +1055,8 @@ func (s *expectStage) apply(v *value, env *Env) error {
 			}
 		}
 	}
-	want := float64(s.want)
-	var pass bool
-	switch s.op {
-	case "==":
-		pass = got == want
-	case "!=":
-		pass = got != want
-	case "<":
-		pass = got < want
-	case "<=":
-		pass = got <= want
-	case ">":
-		pass = got > want
-	case ">=":
-		pass = got >= want
-	}
+	// The lexer emits only the six comparison operators as tOp.
+	pass, _ := compare(s.op, got, float64(s.want))
 	*v = value{assert: &AssertResult{
 		Expr: fmt.Sprintf("%s %s %d", s.agg, s.op, s.want),
 		Got:  got,
@@ -1104,43 +1085,35 @@ func (s *atStage) apply(v *value, env *Env) error {
 	}
 	st := replay.At(v.recs, env.Cores, s.cycle)
 	*v = value{}
+	var err error
 	switch s.show {
 	case showState:
 		v.state = st
 	case showCores:
-		for i := range st.Cores {
-			if s.where != nil {
-				ok, err := s.where.eval(coreGetter(&st.Cores[i]))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			v.cores = append(v.cores, st.Cores[i])
-		}
-		if v.cores == nil {
-			v.cores = []replay.CoreState{}
-		}
+		v.cores, err = where(st.Cores, s.where, coreGetter)
 	case showLines:
-		for i := range st.Lines {
-			if s.where != nil {
-				ok, err := s.where.eval(lineGetter(&st.Lines[i]))
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			v.lines = append(v.lines, st.Lines[i])
-		}
-		if v.lines == nil {
-			v.lines = []replay.LineState{}
-		}
+		v.lines, err = where(st.Lines, s.where, lineGetter)
 	}
-	return nil
+	return err
+}
+
+// where returns the items matching e (all of them when e is nil), never
+// nil.
+func where[T any](items []T, e expr, get func(*T) getter) ([]T, error) {
+	out := []T{}
+	for i := range items {
+		if e != nil {
+			ok, err := e.eval(get(&items[i]))
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		out = append(out, items[i])
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

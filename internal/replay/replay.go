@@ -122,19 +122,19 @@ type State struct {
 // simulator also records exactly one flight record of a fixed kind, so a
 // full-stream replay must land on the live registry's numbers exactly.
 var MirroredCounters = []telemetry.Counter{
-	telemetry.CtrTxnCommits,       // TxnCommit
-	telemetry.CtrTxnAborts,        // TxnAbort
-	telemetry.CtrEscalation,       // Escalate
-	telemetry.CtrWatchdogTrip,     // WatchdogTrip
-	telemetry.CtrCMAbortSelf,      // AbortSelf
-	telemetry.CtrCMWait,           // CMStall (count)
-	telemetry.CtrCMWaitCycles,     // CMStall (sum of Dur)
-	telemetry.CtrCMBackoffCycles,  // Backoff (sum of Dur)
-	telemetry.CtrCSTSet,           // CSTSet (+1 requestor, +1 responder)
-	telemetry.CtrAlert,            // AOUAlert
-	telemetry.CtrOTSpill,          // OTSpill
-	telemetry.CtrCommitCSTFail,    // CommitRefused
-	telemetry.CtrGovStep,          // GovStep
+	telemetry.CtrTxnCommits,      // TxnCommit
+	telemetry.CtrTxnAborts,       // TxnAbort
+	telemetry.CtrEscalation,      // Escalate
+	telemetry.CtrWatchdogTrip,    // WatchdogTrip
+	telemetry.CtrCMAbortSelf,     // AbortSelf
+	telemetry.CtrCMWait,          // CMStall (count)
+	telemetry.CtrCMWaitCycles,    // CMStall (sum of Dur)
+	telemetry.CtrCMBackoffCycles, // Backoff (sum of Dur)
+	telemetry.CtrCSTSet,          // CSTSet (+1 requestor, +1 responder)
+	telemetry.CtrAlert,           // AOUAlert
+	telemetry.CtrOTSpill,         // OTSpill
+	telemetry.CtrCommitCSTFail,   // CommitRefused
+	telemetry.CtrGovStep,         // GovStep
 }
 
 // Counter returns a mirrored counter's replayed value for one core. Zero
@@ -160,28 +160,49 @@ func (s *State) CounterTotal(c telemetry.Counter) uint64 {
 
 // At folds records with At <= cycle, in Seq order, into a State. The input
 // must be Seq-sorted (flight.Recorder.Snapshot's order); out-of-order input
-// is sorted on a copy first. cores sizes the per-core tables and is grown
-// to cover any core a record names.
+// is sorted on a copy first, and records past cycle are dropped on a copy.
+// cores sizes the per-core tables and is grown to cover any core a record
+// names, folded or not.
 func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
-	if !sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq }) {
-		sorted := append([]flight.Rec(nil), recs...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Seq < sorted[b].Seq })
-		recs = sorted
-	}
-	for _, r := range recs {
-		if int(r.Core) >= cores {
-			cores = int(r.Core) + 1
+	recs = bySeq(recs)
+	f := flight.NewFold(recs, cores)
+	if f.End > cycle {
+		var kept []flight.Rec
+		for _, r := range recs {
+			if r.At <= cycle {
+				kept = append(kept, r)
+			}
 		}
-		if int(r.Peer) >= cores {
-			cores = int(r.Peer) + 1
-		}
+		f = flight.NewFold(kept, f.Cores)
 	}
-	if cores < 1 {
-		cores = 1
-	}
+	st := fold(&f)
+	st.Cycle = cycle
+	return st
+}
 
+// Final folds the whole stream: the state at the last record's cycle.
+func Final(recs []flight.Rec, cores int) *State {
+	f := flight.NewFold(bySeq(recs), cores)
+	st := fold(&f)
+	st.Cycle = f.End
+	return st
+}
+
+// bySeq returns recs in Seq order, sorting a copy when they are not.
+func bySeq(recs []flight.Rec) []flight.Rec {
+	if sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq }) {
+		return recs
+	}
+	sorted := append([]flight.Rec(nil), recs...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Seq < sorted[b].Seq })
+	return sorted
+}
+
+// fold runs the lifecycle fold to its end, mirroring the counters and
+// tracking the line sets and per-core status on the way.
+func fold(f *flight.Fold) *State {
+	cores := f.Cores
 	st := &State{
-		Cycle:    cycle,
 		Cores:    make([]CoreState, cores),
 		counters: make([][telemetry.NumCounters]uint64, cores),
 	}
@@ -189,16 +210,15 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 		st.Cores[i].Core = i
 	}
 	type lineAcc struct {
-		lastWriter int
-		writers    map[int]bool
-		readers    map[int]bool
-		conflicts  uint64
+		lastWriter       int
+		writers, readers uint64 // core bitmasks: a machine has at most 64 cores
+		conflicts        uint64
 	}
 	lines := map[uint64]*lineAcc{}
 	lineOf := func(addr uint64) *lineAcc {
 		la := lines[addr]
 		if la == nil {
-			la = &lineAcc{lastWriter: -1, writers: map[int]bool{}, readers: map[int]bool{}}
+			la = &lineAcc{lastWriter: -1}
 			lines[addr] = la
 		}
 		return la
@@ -215,42 +235,36 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 		open[c][addr] = true
 	}
 
-	for i := range recs {
-		r := &recs[i]
-		if r.At > cycle {
-			continue
-		}
+	for f.Next() {
+		r := f.Rec
 		c := int(r.Core)
-		if c < 0 || c >= cores {
-			continue
-		}
 		st.Records++
 		if r.Seq > st.Seq {
 			st.Seq = r.Seq
 		}
 		cs := &st.Cores[c]
 		ctr := &st.counters[c]
-		switch r.Kind {
-		case flight.TxnBegin:
+		switch f.Event {
+		case flight.Begin:
 			cs.Attempt++
 			if cs.Status != Serialized {
 				cs.Status = Running
 			}
 			open[c] = nil
-		case flight.TxnCommit:
+		case flight.Commit:
 			ctr[telemetry.CtrTxnCommits]++
 			cs.Commits++
-			cs.ConsecAborts = 0
 			cs.Status = Idle
 			open[c] = nil
-		case flight.TxnAbort:
+		case flight.Abort:
 			ctr[telemetry.CtrTxnAborts]++
 			cs.Aborts++
-			cs.ConsecAborts++
 			if cs.Status != Serialized {
 				cs.Status = Aborted
 			}
 			open[c] = nil
+		}
+		switch r.Kind {
 		case flight.Escalate:
 			ctr[telemetry.CtrEscalation]++
 			cs.Escalations++
@@ -271,7 +285,7 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 			// the responder; the single record carries both in Core/Peer.
 			ctr[telemetry.CtrCSTSet]++
 			p := int(r.Peer)
-			if p >= 0 && p < cores {
+			if p >= 0 {
 				st.counters[p][telemetry.CtrCSTSet]++
 			}
 			if addr := uint64(r.Line); addr != 0 {
@@ -280,28 +294,24 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 				// Aux's low bits carry the cst.Kind recorded in the
 				// requestor's table: RW = requestor read / responder wrote,
 				// WR = requestor wrote / responder read, WW = both wrote.
+				// A peer of -1 shifts out of the masks.
 				switch cst.Kind(r.Aux & flight.AuxMask) {
 				case cst.RW:
-					la.readers[c] = true
+					la.readers |= 1 << uint(c)
 					if p >= 0 {
-						la.writers[p] = true
+						la.writers |= 1 << uint(p)
 						la.lastWriter = p
 					}
 				case cst.WR:
-					la.writers[c] = true
+					la.writers |= 1 << uint(c)
 					la.lastWriter = c
-					if p >= 0 {
-						la.readers[p] = true
-					}
+					la.readers |= 1 << uint(p)
 				case cst.WW:
-					la.writers[c] = true
+					la.writers |= 1<<uint(c) | 1<<uint(p)
 					la.lastWriter = c
-					if p >= 0 {
-						la.writers[p] = true
-					}
 				}
 				touch(c, addr)
-				if p >= 0 && p < cores {
+				if p >= 0 {
 					touch(p, addr)
 				}
 			}
@@ -320,6 +330,7 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 
 	for c := range open {
 		st.Cores[c].SigLines = len(open[c])
+		st.Cores[c].ConsecAborts = f.Run(c)
 	}
 	addrs := make([]uint64, 0, len(lines))
 	for a := range lines {
@@ -328,29 +339,23 @@ func At(recs []flight.Rec, cores int, cycle sim.Time) *State {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
 		la := lines[a]
-		ls := LineState{Line: a, LastWriter: la.lastWriter, Conflicts: la.conflicts}
-		for w := range la.writers {
-			ls.Writers = append(ls.Writers, w)
-		}
-		for rd := range la.readers {
-			ls.Readers = append(ls.Readers, rd)
-		}
-		sort.Ints(ls.Writers)
-		sort.Ints(ls.Readers)
-		st.Lines = append(st.Lines, ls)
+		st.Lines = append(st.Lines, LineState{
+			Line: a, LastWriter: la.lastWriter, Conflicts: la.conflicts,
+			Writers: coreList(la.writers), Readers: coreList(la.readers),
+		})
 	}
 	return st
 }
 
-// Final folds the whole stream: the state at the last record's cycle.
-func Final(recs []flight.Rec, cores int) *State {
-	var end sim.Time
-	for _, r := range recs {
-		if r.At > end {
-			end = r.At
+// coreList returns the cores set in mask, ascending; nil when none.
+func coreList(mask uint64) []int {
+	var out []int
+	for c := 0; mask != 0; c, mask = c+1, mask>>1 {
+		if mask&1 != 0 {
+			out = append(out, c)
 		}
 	}
-	return At(recs, cores, end)
+	return out
 }
 
 // VerifyTelemetry checks the replay-identity invariant: every mirrored
