@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -269,4 +271,151 @@ func TestUnboundedTMIVictimKeepsSpeculativeOnly(t *testing.T) {
 			t.Fatalf("TMI line %d lost", i)
 		}
 	}
+}
+
+// The reference flash operations walk every line of the set array and the
+// victim buffer, compacting the victim buffer afterwards.
+func refWalk(c *Cache, f func(*Line)) {
+	for si := range c.sets {
+		for wi := range c.sets[si] {
+			f(&c.sets[si][wi])
+		}
+	}
+	var live []Line
+	for i := range c.victim {
+		f(&c.victim[i])
+		if c.victim[i].State != Invalid {
+			live = append(live, c.victim[i])
+		}
+	}
+	c.victim = append(c.victim[:0], live...)
+}
+
+func refFlashCommit(c *Cache) []memory.LineAddr {
+	var committed []memory.LineAddr
+	refWalk(c, func(ln *Line) {
+		switch ln.State {
+		case TMI:
+			ln.State = Modified
+			committed = append(committed, ln.Tag)
+		case TI:
+			ln.State = Invalid
+		}
+	})
+	return committed
+}
+
+func refFlashAbort(c *Cache) int {
+	n := 0
+	refWalk(c, func(ln *Line) {
+		if ln.State == TMI || ln.State == TI {
+			ln.State = Invalid
+			n++
+		}
+	})
+	return n
+}
+
+func refClearAlerts(c *Cache) {
+	refWalk(c, func(ln *Line) { ln.Alert = false })
+}
+
+// TestFlashOpsMatchFullWalk drives a cache and a reference copy through the
+// same random operations. The reference's flash operations walk every
+// line; the cache's visit only the sets it marked. Sets, victim buffer,
+// return values and Resident must agree after every operation.
+func TestFlashOpsMatchFullWalk(t *testing.T) {
+	geoms := []Config{
+		DefaultL1Config(),
+		{Sets: 256, Ways: 2, VictimSize: 0},
+		{Sets: 256, Ways: 2, VictimSize: 32, UnboundedTMIVictim: true},
+	}
+	states := []State{Shared, Exclusive, Modified, TMI, TI}
+	for _, cfg := range geoms {
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, want := New(cfg), New(cfg)
+			tags := memory.LineAddr(cfg.Sets * cfg.Ways * 3)
+			for op := 0; op < 4000; op++ {
+				l := memory.LineAddr(rng.Int63n(int64(tags)))
+				var what string
+				switch k := rng.Intn(100); {
+				case k < 35:
+					what = "insert"
+					if g, w := got.Lookup(l), want.Lookup(l); g != nil || w != nil {
+						break
+					}
+					ln := Line{Tag: l, State: states[rng.Intn(len(states))], Alert: rng.Intn(8) == 0, Data: memory.LineData{uint64(op)}}
+					if g, w := got.Insert(ln), want.Insert(ln); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%+v seed %d op %d: Insert spilled %v, want %v", cfg, seed, op, g, w)
+					}
+				case k < 80:
+					what = "lookup+write"
+					g, w := got.Lookup(l), want.Lookup(l)
+					if (g == nil) != (w == nil) {
+						t.Fatalf("%+v seed %d op %d: Lookup(%d) hit %v, want %v", cfg, seed, op, l, g != nil, w != nil)
+					}
+					if g == nil {
+						break
+					}
+					switch rng.Intn(4) {
+					case 0:
+						g.State, w.State = TMI, TMI
+					case 1:
+						g.State, w.State = TI, TI
+					case 2:
+						g.Alert, w.Alert = true, true
+					}
+				case k < 90:
+					what = "invalidate"
+					g, gok := got.Invalidate(l)
+					w, wok := want.Invalidate(l)
+					if g != w || gok != wok {
+						t.Fatalf("%+v seed %d op %d: Invalidate(%d) = %v %v, want %v %v", cfg, seed, op, l, g, gok, w, wok)
+					}
+				case k < 94:
+					what = "commit"
+					if g, w := got.FlashCommit(), refFlashCommit(want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%+v seed %d op %d: FlashCommit = %v, want %v", cfg, seed, op, g, w)
+					}
+				case k < 97:
+					what = "abort"
+					if g, w := got.FlashAbort(), refFlashAbort(want); g != w {
+						t.Fatalf("%+v seed %d op %d: FlashAbort = %d, want %d", cfg, seed, op, g, w)
+					}
+				default:
+					what = "clear alerts"
+					got.ClearAlerts()
+					refClearAlerts(want)
+				}
+				if !sameLines(got, want) {
+					t.Fatalf("%+v seed %d op %d (%s): cache contents diverge from the full walk", cfg, seed, op, what)
+				}
+				if g, w := got.Resident(), want.Resident(); g != w {
+					t.Fatalf("%+v seed %d op %d (%s): Resident = %d, want %d", cfg, seed, op, what, g, w)
+				}
+			}
+		}
+	}
+}
+
+// sameLines reports whether two caches hold identical set arrays and
+// victim buffers, line for line.
+func sameLines(a, b *Cache) bool {
+	for si := range a.sets {
+		for wi := range a.sets[si] {
+			if a.sets[si][wi] != b.sets[si][wi] {
+				return false
+			}
+		}
+	}
+	if len(a.victim) != len(b.victim) {
+		return false
+	}
+	for i := range a.victim {
+		if a.victim[i] != b.victim[i] {
+			return false
+		}
+	}
+	return true
 }
