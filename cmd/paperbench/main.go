@@ -664,7 +664,7 @@ func logtmComparison(sc harness.SweepConfig) {
 			w, r := i/perWorkload, i%perWorkload
 			return sc.RunCell(harness.RunConfig{
 				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads: sc.Threads[r%len(sc.Threads)],
+				Threads:      sc.Threads[r%len(sc.Threads)],
 				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 				Metrics: sc.Metrics, Flight: sc.Flight,
 			})
@@ -866,7 +866,7 @@ func causalFigure(sc harness.SweepConfig) {
 			w, r := i/perWorkload, i%perWorkload
 			return sc.RunCell(harness.RunConfig{
 				System: systems[r/len(sc.Threads)], Workload: factories[w],
-				Threads: sc.Threads[r%len(sc.Threads)],
+				Threads:      sc.Threads[r%len(sc.Threads)],
 				OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: true,
 				Metrics: sc.Metrics, Flight: true,
 			})

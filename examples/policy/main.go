@@ -9,6 +9,7 @@ import (
 
 	"flextm/internal/cm"
 	"flextm/internal/core"
+	"flextm/internal/harness"
 	"flextm/internal/sim"
 	"flextm/internal/tmesi"
 	"flextm/internal/workloads"
@@ -22,9 +23,8 @@ const (
 func run(mode core.Mode, mgr cm.Manager) (throughput float64, abortRate float64) {
 	sys := tmesi.New(tmesi.DefaultConfig())
 	rt := core.New(sys, mode, mgr)
-	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 	w := workloads.NewRandomGraph()
-	w.Setup(env)
+	env := harness.Setup(sys, w)
 
 	engine := sim.NewEngine()
 	for i := 0; i < threads; i++ {

@@ -18,6 +18,12 @@
 // operation would change, so the result equals a walk of every line. A
 // *Line must not be written after a flash operation that followed the call
 // that returned it.
+//
+// A Lookup that misses its set scans the victim buffer only if a count kept
+// per set, of the buffer entries whose tag maps to it, is not zero. The
+// lines of all sets share one flat array, as do TagCache's entries, so a
+// cache is built with a few allocations whatever its size. Insert returns
+// its spills in a buffer the cache reuses, valid until the next Insert.
 package cache
 
 import (
@@ -103,9 +109,12 @@ func DefaultL1Config() Config { return Config{Sets: 256, Ways: 2, VictimSize: 32
 // not usable; call New.
 type Cache struct {
 	cfg    Config
-	sets   [][]Line
+	lines  []Line // Sets*Ways lines; set s is lines[s*Ways : (s+1)*Ways]
 	victim []Line // FIFO order: victim[0] is oldest
-	clock  uint64
+	// victimsIn[s] counts the victim-buffer entries whose tag maps to set s.
+	victimsIn []int32
+	spills    []Line // Insert's reused return buffer
+	clock     uint64
 	// marks[w][k] has one bit for each of sets 64w..64w+63 that may hold
 	// a line of flash kind k (specMarks: TMI or TI; alertMarks: the A bit)
 	// since the last flash of that kind.
@@ -123,15 +132,22 @@ func New(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 || cfg.Ways <= 0 {
 		panic("cache: invalid geometry")
 	}
-	sets := make([][]Line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]Line, cfg.Ways)
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]Line, cfg.Sets*cfg.Ways),
+		victimsIn: make([]int32, cfg.Sets),
+		marks:     make([][2]uint64, (cfg.Sets+63)/64),
 	}
-	return &Cache{cfg: cfg, sets: sets, marks: make([][2]uint64, (cfg.Sets+63)/64)}
 }
 
 func (c *Cache) setIndex(l memory.LineAddr) int {
 	return int(uint64(l) & uint64(c.cfg.Sets-1))
+}
+
+// set returns the ways of set si.
+func (c *Cache) set(si int) []Line {
+	w := c.cfg.Ways
+	return c.lines[si*w : si*w+w]
 }
 
 // mark records that set si hands out a *Line that may be made TMI, TI or
@@ -145,10 +161,11 @@ func (c *Cache) mark(si int) {
 
 // Lookup returns the line holding l, or nil. A hit in the victim buffer
 // counts; the line is not moved (the victim buffer is searched in parallel
-// with the set in hardware).
+// with the set in hardware). A hit in the set array makes the line its
+// set's most recently used.
 func (c *Cache) Lookup(l memory.LineAddr) *Line {
 	si := c.setIndex(l)
-	set := c.sets[si]
+	set := c.set(si)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == l {
 			c.clock++
@@ -156,6 +173,9 @@ func (c *Cache) Lookup(l memory.LineAddr) *Line {
 			c.mark(si)
 			return &set[i]
 		}
+	}
+	if c.victimsIn[si] == 0 {
+		return nil
 	}
 	for i := range c.victim {
 		if c.victim[i].State != Invalid && c.victim[i].Tag == l {
@@ -165,18 +185,13 @@ func (c *Cache) Lookup(l memory.LineAddr) *Line {
 	return nil
 }
 
-// Victimized is a line pushed out of the victim buffer by an Insert; the
-// caller must write back Modified data and spill TMI lines to the overflow
-// table.
-type Victimized struct {
-	Line Line
-}
-
 // Insert places a new line into the cache, evicting as needed. The evicted
-// set line (if any) moves to the victim buffer; anything that falls off the
-// victim buffer is returned for the caller to handle. Insert panics if the
-// line is already present (use Lookup first).
-func (c *Cache) Insert(ln Line) []Victimized {
+// set line (if any) moves to the victim buffer; the lines that fall off the
+// victim buffer are returned, or nil when none does. The caller must write
+// back their Modified data and spill their TMI lines to the overflow table.
+// The returned slice is the cache's own buffer, valid until the next
+// Insert. Insert panics if the line is already present (use Lookup first).
+func (c *Cache) Insert(ln Line) []Line {
 	if c.Lookup(ln.Tag) != nil {
 		panic(fmt.Sprintf("cache: Insert of resident line %d", ln.Tag))
 	}
@@ -184,7 +199,7 @@ func (c *Cache) Insert(ln Line) []Victimized {
 	ln.lru = c.clock
 	si := c.setIndex(ln.Tag)
 	c.mark(si)
-	set := c.sets[si]
+	set := c.set(si)
 	// Empty way?
 	for i := range set {
 		if set[i].State == Invalid {
@@ -204,12 +219,14 @@ func (c *Cache) Insert(ln Line) []Victimized {
 	return c.pushVictim(evicted)
 }
 
-func (c *Cache) pushVictim(ln Line) []Victimized {
+func (c *Cache) pushVictim(ln Line) []Line {
+	c.spills = c.spills[:0]
 	if c.cfg.VictimSize == 0 && !(c.cfg.UnboundedTMIVictim && ln.State == TMI) {
-		return []Victimized{{Line: ln}}
+		c.spills = append(c.spills, ln)
+		return c.spills
 	}
 	c.victim = append(c.victim, ln)
-	var out []Victimized
+	c.victimsIn[c.setIndex(ln.Tag)]++
 	if c.cfg.VictimSize >= 0 {
 		over := func() int {
 			n := len(c.victim)
@@ -227,14 +244,18 @@ func (c *Cache) pushVictim(ln Line) []Victimized {
 			// Spill the oldest evictable entry.
 			for i, v := range c.victim {
 				if !c.cfg.UnboundedTMIVictim || v.State != TMI {
-					out = append(out, Victimized{Line: v})
+					c.spills = append(c.spills, v)
+					c.victimsIn[c.setIndex(v.Tag)]--
 					c.victim = append(c.victim[:i], c.victim[i+1:]...)
 					break
 				}
 			}
 		}
 	}
-	return out
+	if len(c.spills) == 0 {
+		return nil
+	}
+	return c.spills
 }
 
 // Invalidate drops the line holding l, if present, and returns its prior
@@ -314,10 +335,8 @@ func (c *Cache) Resident() int {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) forEach(f func(*Line)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			f(&c.sets[si][wi])
-		}
+	for i := range c.lines {
+		f(&c.lines[i])
 	}
 	c.eachVictim(f)
 }
@@ -327,7 +346,7 @@ func (c *Cache) forEach(f func(*Line)) {
 func (c *Cache) flash(kind int, f func(*Line)) {
 	for w := range c.marks {
 		for word := c.marks[w][kind]; word != 0; word &= word - 1 {
-			set := c.sets[w<<6|bits.TrailingZeros64(word)]
+			set := c.set(w<<6 | bits.TrailingZeros64(word))
 			for i := range set {
 				f(&set[i])
 			}
@@ -345,6 +364,8 @@ func (c *Cache) eachVictim(f func(*Line)) {
 		f(&c.victim[i])
 		if c.victim[i].State != Invalid {
 			live = append(live, c.victim[i])
+		} else {
+			c.victimsIn[c.setIndex(c.victim[i].Tag)]--
 		}
 	}
 	c.victim = live
@@ -354,9 +375,10 @@ func (c *Cache) eachVictim(f func(*Line)) {
 // timing model: it answers hit/miss and tracks evictions but holds no data
 // (data lives in the committed memory image).
 type TagCache struct {
-	sets  [][]tagEntry
-	mask  uint64
-	clock uint64
+	entries []tagEntry // set s is entries[s*ways : (s+1)*ways]
+	ways    int
+	mask    uint64
+	clock   uint64
 }
 
 type tagEntry struct {
@@ -370,18 +392,15 @@ func NewTagCache(sets, ways int) *TagCache {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("cache: invalid tag cache geometry")
 	}
-	s := make([][]tagEntry, sets)
-	for i := range s {
-		s[i] = make([]tagEntry, ways)
-	}
-	return &TagCache{sets: s, mask: uint64(sets - 1)}
+	return &TagCache{entries: make([]tagEntry, sets*ways), ways: ways, mask: uint64(sets - 1)}
 }
 
 // Touch records an access to line l and reports whether it hit, along with
 // any line evicted to make room.
 func (t *TagCache) Touch(l memory.LineAddr) (hit bool, evicted memory.LineAddr, hasEvicted bool) {
 	t.clock++
-	set := t.sets[uint64(l)&t.mask]
+	si := int(uint64(l)&t.mask) * t.ways
+	set := t.entries[si : si+t.ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == l {
 			set[i].lru = t.clock

@@ -51,7 +51,7 @@ func TestLRUEvictionGoesToVictimBuffer(t *testing.T) {
 
 func TestVictimBufferOverflowSpills(t *testing.T) {
 	c := small()
-	var spilled []Victimized
+	var spilled []Line
 	// Fill set 0 and overflow the 2-entry victim buffer.
 	for i := 0; i < 6; i++ {
 		spilled = append(spilled, c.Insert(Line{Tag: memory.LineAddr(i * 4), State: TMI})...)
@@ -60,8 +60,8 @@ func TestVictimBufferOverflowSpills(t *testing.T) {
 		t.Fatalf("spilled %d lines, want 2", len(spilled))
 	}
 	for _, v := range spilled {
-		if v.Line.State != TMI {
-			t.Fatalf("spilled line in state %v", v.Line.State)
+		if v.State != TMI {
+			t.Fatalf("spilled line in state %v", v.State)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestZeroVictimBufferSpillsImmediately(t *testing.T) {
 	c := New(Config{Sets: 1, Ways: 1, VictimSize: 0})
 	c.Insert(Line{Tag: 1, State: Modified})
 	sp := c.Insert(Line{Tag: 2, State: Shared})
-	if len(sp) != 1 || sp[0].Line.Tag != 1 {
+	if len(sp) != 1 || sp[0].Tag != 1 {
 		t.Fatalf("spill = %+v, want line 1", sp)
 	}
 }
@@ -247,7 +247,7 @@ func TestInvalidGeometryPanics(t *testing.T) {
 
 func TestUnboundedTMIVictimKeepsSpeculativeOnly(t *testing.T) {
 	c := New(Config{Sets: 1, Ways: 1, VictimSize: 1, UnboundedTMIVictim: true})
-	var spilled []Victimized
+	var spilled []Line
 	// Alternate TMI and Shared lines through the single set.
 	for i := 0; i < 10; i++ {
 		st := TMI
@@ -257,8 +257,8 @@ func TestUnboundedTMIVictimKeepsSpeculativeOnly(t *testing.T) {
 		spilled = append(spilled, c.Insert(Line{Tag: memory.LineAddr(i), State: st})...)
 	}
 	for _, v := range spilled {
-		if v.Line.State == TMI {
-			t.Fatalf("TMI line %d spilled despite unbounded TMI victim buffer", v.Line.Tag)
+		if v.State == TMI {
+			t.Fatalf("TMI line %d spilled despite unbounded TMI victim buffer", v.Tag)
 		}
 	}
 	// All TMI lines must still be resident.
@@ -274,12 +274,11 @@ func TestUnboundedTMIVictimKeepsSpeculativeOnly(t *testing.T) {
 }
 
 // The reference flash operations walk every line of the set array and the
-// victim buffer, compacting the victim buffer afterwards.
+// victim buffer, compacting the victim buffer afterwards and recounting its
+// entries per set.
 func refWalk(c *Cache, f func(*Line)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			f(&c.sets[si][wi])
-		}
+	for i := range c.lines {
+		f(&c.lines[i])
 	}
 	var live []Line
 	for i := range c.victim {
@@ -289,6 +288,32 @@ func refWalk(c *Cache, f func(*Line)) {
 		}
 	}
 	c.victim = append(c.victim[:0], live...)
+	copy(c.victimsIn, victimRecount(c))
+}
+
+// victimRecount counts the victim-buffer entries of each set from scratch.
+func victimRecount(c *Cache) []int32 {
+	n := make([]int32, c.cfg.Sets)
+	for _, v := range c.victim {
+		n[c.setIndex(v.Tag)]++
+	}
+	return n
+}
+
+// linearFind is the reference lookup: a scan of every line of the set
+// array and then of the whole victim buffer, with no per-set filter.
+func linearFind(c *Cache, l memory.LineAddr) *Line {
+	for i := range c.lines {
+		if c.lines[i].State != Invalid && c.lines[i].Tag == l {
+			return &c.lines[i]
+		}
+	}
+	for i := range c.victim {
+		if c.victim[i].State != Invalid && c.victim[i].Tag == l {
+			return &c.victim[i]
+		}
+	}
+	return nil
 }
 
 func refFlashCommit(c *Cache) []memory.LineAddr {
@@ -323,7 +348,9 @@ func refClearAlerts(c *Cache) {
 // TestFlashOpsMatchFullWalk drives a cache and a reference copy through the
 // same random operations. The reference's flash operations walk every
 // line; the cache's visit only the sets it marked. Sets, victim buffer,
-// return values and Resident must agree after every operation.
+// return values and Resident must agree after every operation. Lookups must
+// find what a linear scan of the sets and the whole victim buffer finds,
+// and the per-set victim counts must equal a recount.
 func TestFlashOpsMatchFullWalk(t *testing.T) {
 	geoms := []Config{
 		DefaultL1Config(),
@@ -394,6 +421,19 @@ func TestFlashOpsMatchFullWalk(t *testing.T) {
 				if g, w := got.Resident(), want.Resident(); g != w {
 					t.Fatalf("%+v seed %d op %d (%s): Resident = %d, want %d", cfg, seed, op, what, g, w)
 				}
+				for si, n := range victimRecount(got) {
+					if got.victimsIn[si] != n {
+						t.Fatalf("%+v seed %d op %d (%s): set %d victim count %d, recount %d", cfg, seed, op, what, si, got.victimsIn[si], n)
+					}
+				}
+				// Look up the operation's tag and another tag of its set in
+				// both caches, so their LRU order stays the same.
+				for _, x := range []memory.LineAddr{l, l + memory.LineAddr(cfg.Sets)} {
+					ref := linearFind(got, x)
+					if g, w := got.Lookup(x), want.Lookup(x); g != ref || (w == nil) != (ref == nil) {
+						t.Fatalf("%+v seed %d op %d (%s): Lookup(%d) = %p, linear scan finds %p", cfg, seed, op, what, x, g, ref)
+					}
+				}
 			}
 		}
 	}
@@ -402,11 +442,9 @@ func TestFlashOpsMatchFullWalk(t *testing.T) {
 // sameLines reports whether two caches hold identical set arrays and
 // victim buffers, line for line.
 func sameLines(a, b *Cache) bool {
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			if a.sets[si][wi] != b.sets[si][wi] {
-				return false
-			}
+	for i := range a.lines {
+		if a.lines[i] != b.lines[i] {
+			return false
 		}
 	}
 	if len(a.victim) != len(b.victim) {
@@ -418,4 +456,46 @@ func sameLines(a, b *Cache) bool {
 		}
 	}
 	return true
+}
+
+// TestInsertSpillDoesNotAllocate pins an Insert that spills a line off a
+// full victim buffer, or straight out of a cache with none, at zero heap
+// allocations: the spill comes back in the cache's reused buffer.
+func TestInsertSpillDoesNotAllocate(t *testing.T) {
+	for _, cfg := range []Config{DefaultL1Config(), {Sets: 256, Ways: 2, VictimSize: 0}} {
+		c := New(cfg)
+		next := memory.LineAddr(0)
+		spills := 0
+		insert := func() {
+			spills += len(c.Insert(Line{Tag: next, State: Modified}))
+			next += memory.LineAddr(cfg.Sets) // always set 0
+		}
+		for i := 0; i < cfg.Ways+cfg.VictimSize; i++ {
+			insert()
+		}
+		if spills != 0 {
+			t.Fatalf("%+v: %d spills while filling set 0 and the victim buffer", cfg, spills)
+		}
+		allocs := testing.AllocsPerRun(100, insert)
+		if spills != 101 || allocs != 0 {
+			t.Errorf("%+v: %d spills in 101 inserts, %.1f allocations per insert; want 101 and 0", cfg, spills, allocs)
+		}
+	}
+}
+
+// BenchmarkLookupMiss is a Lookup miss on the paper's L1 with a full set
+// array and a full victim buffer, over tags of every set.
+func BenchmarkLookupMiss(b *testing.B) {
+	cfg := DefaultL1Config()
+	c := New(cfg)
+	lines := memory.LineAddr(cfg.Sets*cfg.Ways + cfg.VictimSize)
+	for l := memory.LineAddr(0); l < lines; l++ {
+		c.Insert(Line{Tag: l, State: Shared})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Lookup(lines+memory.LineAddr(i&1023)) != nil {
+			b.Fatal("hit")
+		}
+	}
 }

@@ -561,3 +561,30 @@ func TestSigScreenSparesInnocentSuccessor(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 commits / 0 aborts (screen spares the successor)", s)
 	}
 }
+
+// TestTxnLoadsDoNotAllocate pins the transactional access path at zero heap
+// allocations per operation, through the runtime's Txn view: a load that
+// hits in the L1, and a load miss that the directory forwards to remote
+// cores none of which holds or has signed the line.
+func TestTxnLoadsDoNotAllocate(t *testing.T) {
+	for _, mode := range []Mode{Eager, Lazy} {
+		sys := tmesi.New(testCfg())
+		rt := New(sys, mode, cm.NewPolka())
+		x := sys.Alloc().Alloc(1)
+		var hit, miss float64
+		runThreads(t, rt, func(th tmapi.Thread) {
+			th.Atomic(func(tx tmapi.Txn) {
+				tx.Load(x)
+				hit = testing.AllocsPerRun(100, func() { tx.Load(x) })
+				next := memory.Addr(1 << 20)
+				miss = testing.AllocsPerRun(100, func() {
+					tx.Load(next)
+					next += memory.LineWords
+				})
+			})
+		})
+		if hit != 0 || miss != 0 {
+			t.Errorf("%v: TLoad allocates %.1f per hit and %.1f per miss, want 0", mode, hit, miss)
+		}
+	}
+}

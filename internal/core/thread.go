@@ -195,7 +195,6 @@ func (th *Thread) escalate(stamp uint64, body func(tmapi.Txn)) {
 	rt.tel.Inc(th.core, telemetry.CtrEscalation)
 	rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "watchdog", What: "escalate"})
 	rt.fl.Rec(th.core, th.ctx.Now(), flight.Escalate, -1, 0, 0)
-	debugf("t=%d c=%d ESCALATE after %d aborts", th.ctx.Now(), th.core, th.consecAborts)
 	if rt.fallback == nil {
 		rt.fallback = cgl.NewSpinlock(rt.sys)
 	}
@@ -251,7 +250,6 @@ func (th *Thread) begin(stamp uint64) {
 	th.stallCycles = 0
 	d := &desc{tsw: rt.nextTSW(th.core), stamp: stamp, live: true}
 	th.d = d
-	debugf("t=%d c=%d BEGIN tsw=%d", th.ctx.Now(), th.core, d.tsw)
 	sys.Store(th.ctx, th.core, d.tsw, TSWActive)
 	sys.ALoad(th.ctx, th.core, d.tsw)
 	rt.current[th.core] = d
@@ -280,7 +278,6 @@ func (th *Thread) onAbort() {
 	th.emit(trace.Abort, -1)
 	th.rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnAbort, -1, 0, 0)
 	th.rt.orc.Abort(th.core, th.ctx.Now())
-	debugf("t=%d c=%d ABORT", th.ctx.Now(), th.core)
 	th.d.live = false
 	if sys.TxnActive(th.core) {
 		sys.AbortFlash(th.ctx, th.core)
@@ -353,7 +350,6 @@ type txnView struct{ th *Thread }
 func (t txnView) Load(a memory.Addr) uint64 {
 	th := t.th
 	res := th.rt.sys.TLoad(th.ctx, th.core, a)
-	debugf("t=%d c=%d TLoad %d = %d conf=%v", th.ctx.Now(), th.core, a, res.Val, res.Conflicts)
 	// Record before the alert poll: the observed value belongs to this
 	// attempt even if the poll aborts it (aborted reads are discarded by
 	// the checker but keep the log structurally complete).
@@ -370,7 +366,6 @@ func (t txnView) Load(a memory.Addr) uint64 {
 func (t txnView) Store(a memory.Addr, v uint64) {
 	th := t.th
 	res := th.rt.sys.TStore(th.ctx, th.core, a, v)
-	debugf("t=%d c=%d TStore %d <- %d conf=%v", th.ctx.Now(), th.core, a, v, res.Conflicts)
 	th.rt.orc.Write(th.core, th.ctx.Now(), a, v)
 	th.d.karma++
 	th.checkAlert()
@@ -423,7 +418,6 @@ func (th *Thread) resolveConflict(c tmesi.Conflict) {
 			rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "cm", What: "abort-enemy", Arg: int64(c.Responder)})
 			th.emit(trace.ConflictAbortEnemy, c.Responder)
 			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortEnemy, c.Responder, fpAux(c.FP), c.Line)
-			debugf("t=%d c=%d CM abort-enemy %d", th.ctx.Now(), th.core, c.Responder)
 			th.abortRemote(c.Responder)
 			if h := rt.onAbortEnemy; h != nil {
 				h(th, c.Responder)
@@ -483,8 +477,7 @@ func (th *Thread) abortRemote(enemy int) {
 	if tswAddr == 0 {
 		return
 	}
-	res, ok := sys.CAS(th.ctx, th.core, memory.Addr(tswAddr), TSWActive, TSWAborted)
-	debugf("t=%d c=%d abortRemote(%d) tsw=%d ok=%v cur=%d", th.ctx.Now(), th.core, enemy, tswAddr, ok, res.Val)
+	sys.CAS(th.ctx, th.core, memory.Addr(tswAddr), TSWActive, TSWAborted)
 	th.checkAlert()
 }
 
@@ -546,7 +539,6 @@ func (th *Thread) commit() {
 			}
 		}
 		out := sys.CASCommit(th.ctx, th.core, th.d.tsw, TSWActive, TSWCommitted)
-		debugf("t=%d c=%d CASCommit -> %d (resolved=%v)", th.ctx.Now(), th.core, out, resolved.Procs())
 		switch out {
 		case tmesi.CommitOK:
 			th.d.live = false
@@ -603,15 +595,6 @@ func (th *Thread) commit() {
 				abortPanic()
 			}
 		}
-	}
-}
-
-// TraceFn, when non-nil, receives free-form runtime debug lines.
-var TraceFn func(format string, args ...interface{})
-
-func debugf(format string, args ...interface{}) {
-	if TraceFn != nil {
-		TraceFn(format, args...)
 	}
 }
 

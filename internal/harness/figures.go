@@ -384,8 +384,7 @@ func isolatedThroughput(sc SweepConfig, system SystemName, f workloads.Factory) 
 			return 0, err
 		}
 		w := f.New()
-		env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
-		w.Setup(env)
+		Setup(sys, w)
 		e := sim.NewEngine()
 		e.Spawn(w.Name(), 0, func(ctx *sim.Ctx) {
 			th := rt.Bind(ctx, 0)
@@ -427,12 +426,9 @@ func multiprogramRunLive(sc SweepConfig, f workloads.Factory, mode SystemName, a
 	cores := sc.Machine.Cores
 	primeThreads := cores - appThreads
 	sys := tmesi.New(sc.Machine)
-	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
-
 	app := f.New()
-	app.Setup(env)
 	prime := workloads.NewPrime()
-	prime.Setup(env)
+	env := Setup(sys, app, prime)
 
 	rt, err := NewRuntime(mode, sys)
 	if err != nil {
@@ -729,9 +725,8 @@ func runManagerCell(sc SweepConfig, f workloads.Factory, mode core.Mode, mgrName
 			}
 			sys := tmesi.New(sc.Machine)
 			rt := core.New(sys, mode, mgr)
-			env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 			w := f.New()
-			w.Setup(env)
+			env := Setup(sys, w)
 			e := sim.NewEngine()
 			spans := make([]sim.Time, threads)
 			for i := 0; i < threads; i++ {

@@ -48,6 +48,16 @@ const (
 	Bulk SystemName = "Bulk"
 )
 
+// Setup builds the Env over sys, runs each workload's Setup against it and
+// returns it for Op and Verify.
+func Setup(sys *tmesi.System, ws ...workloads.Workload) *workloads.Env {
+	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
+	for _, w := range ws {
+		w.Setup(env)
+	}
+	return env
+}
+
 // NewRuntime builds the named runtime over sys. All contended systems use
 // the Polka contention manager, as in the paper.
 func NewRuntime(name SystemName, sys *tmesi.System) (tmapi.Runtime, error) {
@@ -247,9 +257,8 @@ func Run(rc RunConfig) (Result, error) {
 	} else if rc.Govern != nil {
 		return Result{}, fmt.Errorf("harness: governor requires a FlexTM runtime, not %s", rc.System)
 	}
-	env := &workloads.Env{Image: sys.Image(), Alloc: sys.Alloc(), Raw: sys.ReadWordRaw}
 	w := rc.Workload.New()
-	w.Setup(env)
+	env := Setup(sys, w)
 
 	e := sim.NewEngine()
 	var workers []*sim.Ctx

@@ -1,6 +1,8 @@
 package tmesi
 
 import (
+	"math/bits"
+
 	"flextm/internal/cache"
 	"flextm/internal/cst"
 	"flextm/internal/fault"
@@ -218,13 +220,15 @@ func (s *System) ForceWord(a memory.Addr, v uint64) {
 	s.image.WriteWord(a, v)
 }
 
-// ReadWordRaw returns the current coherent value of a word without timing
-// or state effects: it checks M/TMI copies first, then the image. Intended
-// for handlers and assertions, not for the simulated-program path.
+// ReadWordRaw returns the committed value of a word without timing: the
+// Modified L1 copy of its line if some core holds one, else the image. Its
+// cache.Lookup calls update the LRU order of the L1s holding the line, and
+// simulated results depend on that. Intended for handlers and assertions,
+// not for the simulated-program path.
 func (s *System) ReadWordRaw(a memory.Addr) uint64 {
 	line := a.Line()
-	for r := range s.cores {
-		rc := &s.cores[r]
+	for m := s.filled; m != 0; m &= m - 1 {
+		rc := &s.cores[bits.TrailingZeros64(m)]
 		if rln := rc.l1.Lookup(line); rln != nil && rln.State == cache.Modified {
 			return rln.Data[a.Offset()]
 		}

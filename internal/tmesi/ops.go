@@ -530,8 +530,8 @@ func (s *System) otFetch(c *coreState, core int, line memory.LineAddr) (memory.L
 // buffer: M lines write back, TMI lines overflow to the OT, others drop.
 func (s *System) insertLine(c *coreState, core int, ln cache.Line) sim.Time {
 	var lat sim.Time
-	for _, v := range c.l1.Insert(ln) {
-		sp := v.Line
+	s.filled |= 1 << core
+	for _, sp := range c.l1.Insert(ln) {
 		if sp.Alert {
 			c.alerts.MarkRemoved()
 			if s.inj.Fire(core, fault.AlertLoss) {

@@ -170,6 +170,9 @@ type System struct {
 	cores []coreState
 	l2    *cache.TagCache
 	stats Stats
+	// filled has bit r set once core r's L1 has held a line; ReadWordRaw
+	// skips the others, whose Lookups miss without effect.
+	filled uint64
 
 	// tel is the per-mechanism telemetry registry; nil means disabled
 	// (telemetry.Registry methods are nil-safe, so instrumentation sites

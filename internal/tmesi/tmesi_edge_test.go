@@ -295,3 +295,28 @@ func BenchmarkTStoreCommitCycle(b *testing.B) {
 	})
 	e.Run()
 }
+
+// BenchmarkProbeMiss is the directory miss/forward path: a load miss on
+// core 0 that is forwarded to the 15 other L1s, each holding a full set
+// array and a full victim buffer of lines none of which is the one asked
+// for.
+func BenchmarkProbeMiss(b *testing.B) {
+	cfg := DefaultConfig()
+	s := New(cfg)
+	e := sim.NewEngine()
+	e.Spawn("b", 0, func(ctx *sim.Ctx) {
+		per := cfg.L1.Sets*cfg.L1.Ways + cfg.L1.VictimSize
+		for r := 1; r < cfg.Cores; r++ {
+			for i := 0; i < per; i++ {
+				s.Load(ctx, r, memory.LineAddr(r*per+i).WordOf(0))
+			}
+		}
+		next := memory.LineAddr(cfg.Cores * per)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Load(ctx, 0, next.WordOf(0))
+			next++
+		}
+	})
+	e.Run()
+}
