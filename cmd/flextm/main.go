@@ -17,7 +17,8 @@
 //
 // When an observed run (or one writing artifacts) receives SIGINT/SIGQUIT,
 // the next pump tick flushes partial artifacts — flight-recorder profile,
-// telemetry tables, the Chrome trace written so far — before exiting 130.
+// telemetry tables, the Chrome timeline of the latest window — before
+// exiting 130.
 //
 // Serializability oracle (internal/oracle + internal/stress):
 //
@@ -52,7 +53,6 @@ import (
 	"flextm/internal/sim"
 	"flextm/internal/stress"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -63,9 +63,8 @@ func main() {
 	ops := flag.Int("ops", harness.DefaultOps, "operations per thread")
 	cores := flag.Int("cores", 16, "cores in the simulated CMP")
 	verify := flag.Bool("verify", true, "check structural invariants after the run")
-	traceStats := flag.Bool("tracestats", false, "print a transaction-level trace summary (FlexTM systems)")
 	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry and print counter + cycle-attribution tables")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON timeline to FILE (open in chrome://tracing or Perfetto)")
+	traceOut := flag.String("trace-out", "", "write the run's flight records as a Chrome trace_event JSON timeline to FILE (open in chrome://tracing or Perfetto); implies the flight recorder")
 	faults := flag.String("faults", "", "fault injection spec, e.g. 'commit-race:0.3,alert-loss:0.1' or 'all:0.05' (classes: "+faultClassList()+")")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-schedule seed; same seed + config replays the identical campaign")
 	profile := flag.Bool("profile", false, "record a flight-recorder history and print the conflict-graph contention profile")
@@ -242,10 +241,6 @@ func main() {
 	machine := tmesi.DefaultConfig()
 	machine.Cores = *cores
 
-	var rec *trace.Recorder
-	if *traceStats || *traceOut != "" {
-		rec = trace.NewRecorder()
-	}
 	var faultCfg fault.Config
 	if *faults != "" {
 		var err error
@@ -255,16 +250,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// What an interrupted run leaves behind: the Chrome trace written so
-	// far, the telemetry tables, and the windowed contention profile (plus
-	// its DOT/JSON forms when those were requested). Runs inside the
-	// simulation via the pump's OnFlush, so nothing here races the workers.
+	// What an interrupted run leaves behind: the telemetry tables, and the
+	// windowed contention profile and causal analysis (plus their DOT/JSON
+	// forms and the Chrome timeline when those were requested). Runs inside
+	// the simulation via the pump's OnFlush, so nothing here races the
+	// workers.
 	flushArtifacts = func(fr *observatory.Frame) {
-		if *traceOut != "" && rec != nil {
-			if err := writeChromeTrace(*traceOut, rec); err == nil {
-				fmt.Fprintf(os.Stderr, "trace       partial -> %s\n", *traceOut)
-			}
-		}
 		fmt.Fprintln(os.Stderr, "-- telemetry at interrupt --")
 		fr.Cum.Print(os.Stderr)
 		fr.Cum.PrintAttribution(os.Stderr)
@@ -295,22 +286,31 @@ func main() {
 					fmt.Fprintf(os.Stderr, "causal      partial report -> %s\n", *causalJSON)
 				}
 			}
+			if *traceOut != "" {
+				if err := writeTimeline(*traceOut, fr.Causal); err == nil {
+					fmt.Fprintf(os.Stderr, "trace       partial -> %s\n", *traceOut)
+				}
+			}
 		}
 	}
+	flightPerCore := 0
+	if *traceOut != "" {
+		flightPerCore = flight.WholeRunPerCore
+	}
 	res, err := harness.Run(harness.RunConfig{
-		System:       harness.SystemName(*system),
-		Workload:     f,
-		Threads:      *threads,
-		OpsPerThread: *ops,
-		Machine:      machine,
-		Verify:       *verify,
-		Tracer:       rec,
-		Metrics:      *metrics,
-		Flight:       *profile || *causalOn || queryCfg.on(),
-		Faults:       faultCfg,
-		Oracle:       *oracleOn,
-		Observe:      pump,
-		Govern:       gov,
+		System:        harness.SystemName(*system),
+		Workload:      f,
+		Threads:       *threads,
+		OpsPerThread:  *ops,
+		Machine:       machine,
+		Verify:        *verify,
+		Metrics:       *metrics,
+		Flight:        *profile || *causalOn || queryCfg.on() || *traceOut != "",
+		FlightPerCore: flightPerCore,
+		Faults:        faultCfg,
+		Oracle:        *oracleOn,
+		Observe:       pump,
+		Govern:        gov,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flextm:", err)
@@ -335,10 +335,6 @@ func main() {
 			}
 		}
 	}
-	if rec != nil {
-		fmt.Println("-- trace summary --")
-		rec.Summarize().Print(os.Stdout)
-	}
 	m := res.Machine
 	fmt.Printf("machine     L1 %.1f%% hit, %d L2 misses, %d threatened, %d exposed-read, %d overflows, %d alerts\n",
 		100*float64(m.L1Hits)/float64(max(m.L1Hits+m.L1Misses, 1)),
@@ -352,11 +348,15 @@ func main() {
 		res.Telemetry.PrintAttribution(os.Stdout)
 	}
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, rec); err != nil {
+		recs := res.Flight.Snapshot()
+		if err := writeTimeline(*traceOut, causal.Analyze(recs, causal.Options{Cores: machine.Cores})); err != nil {
 			fmt.Fprintln(os.Stderr, "flextm:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace       %d events -> %s\n", len(rec.Events()), *traceOut)
+		fmt.Printf("trace       %d flight records -> %s\n", len(recs), *traceOut)
+		if lost := res.Flight.Overwritten(); lost > 0 {
+			fmt.Fprintf(os.Stderr, "flextm: WARNING: %d flight records overwritten; the timeline covers only the end of the run\n", lost)
+		}
 	}
 	if *profile {
 		rep := conflictgraph.Analyze(res.Flight.Snapshot(),
@@ -717,13 +717,13 @@ func writeCausalJSON(path string, rep *causal.Report) error {
 	return out.Close()
 }
 
-// writeChromeTrace dumps the recorded timeline in Chrome trace_event JSON.
-func writeChromeTrace(path string, rec *trace.Recorder) error {
+// writeTimeline dumps the attempt DAG as a Chrome trace_event timeline.
+func writeTimeline(path string, rep *causal.Report) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(out, rec.Events()); err != nil {
+	if err := rep.WriteChrome(out); err != nil {
 		out.Close()
 		return err
 	}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"flextm/internal/causal"
 )
 
 // TestMain makes the test binary double as the flextm command: a test
@@ -66,5 +70,55 @@ func TestFlightQLGoldenOverLivelock(t *testing.T) {
 	}
 	if !bytes.Equal(runs[0], want) {
 		t.Fatalf("-query-out differs from testdata/flightql_golden.json (%d vs %d bytes)", len(runs[0]), len(want))
+	}
+}
+
+// TestTraceOutTimeline: -trace-out writes a parseable Chrome timeline with
+// one pid-1 span per attempt the run printed (commits + aborts), and a
+// FlexTM(Lazy) run's commit-loop kills show up as kill arrows.
+func TestTraceOutTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := flextm(t, "-workload", "RBTree", "-system", "FlexTM(Lazy)", "-threads", "4",
+		"-metrics", "-trace-out", path)
+	var commits, aborts int
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		fmt.Sscanf(string(line), "commits %d", &commits)
+		fmt.Sscanf(string(line), "aborts %d", &aborts)
+	}
+	if commits == 0 {
+		t.Fatalf("no commit count in the output:\n%s", out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []causal.ChromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("timeline is not trace_event JSON: %v", err)
+	}
+	spans, starts, finishes := 0, map[uint64]bool{}, map[uint64]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Phase == "X" && e.PID == 1:
+			spans++
+		case e.Phase == "s" && e.Name == "kill":
+			starts[e.ID] = true
+		case e.Phase == "f" && e.Name == "kill":
+			finishes[e.ID] = true
+		}
+	}
+	if spans != commits+aborts {
+		t.Fatalf("%d pid-1 spans, want %d commits + %d aborts", spans, commits, aborts)
+	}
+	pairs := 0
+	for id := range starts {
+		if finishes[id] {
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		t.Fatalf("no kill flow pair in a FlexTM(Lazy) timeline (%d starts, %d finishes)", len(starts), len(finishes))
 	}
 }

@@ -18,7 +18,7 @@
 // full one. -metrics collects per-mechanism telemetry and prints a compact
 // digest under each data point; -json emits one JSON object per data point
 // on stdout (the human tables move to stderr); -trace-out FILE writes a
-// Chrome trace_event timeline of a dedicated traced run.
+// Chrome trace_event timeline of a dedicated run's flight records.
 //
 // -parallel N executes sweep cells on N worker goroutines (0 = all CPUs)
 // with results gathered in deterministic serial order, so every artifact —
@@ -69,6 +69,7 @@ import (
 	"flextm/internal/core"
 	"flextm/internal/fault"
 	"flextm/internal/flexwatcher"
+	"flextm/internal/flight"
 	"flextm/internal/harness"
 	"flextm/internal/observatory"
 	"flextm/internal/sim"
@@ -77,7 +78,6 @@ import (
 	cellcache "flextm/internal/sweepexec/cache"
 	"flextm/internal/telemetry"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -94,7 +94,7 @@ func main() {
 	threadList := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
 	metrics := flag.Bool("metrics", false, "collect per-mechanism telemetry; print a compact digest per data point")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per data point on stdout; tables move to stderr")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event timeline of a dedicated FlexTM(Lazy) RBTree run to FILE")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace_event timeline of a dedicated FlexTM(Lazy) RBTree run's flight records to FILE")
 	benchOut := flag.String("bench-out", "", "record every data point into a canonical BENCH_*.json perf artifact at FILE")
 	benchLabel := flag.String("bench-label", "", "free-form label stored in the -bench-out artifact")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json artifacts (paperbench -compare OLD NEW); exit non-zero on regressions")
@@ -323,32 +323,22 @@ func main() {
 	}
 }
 
-// writeReport runs one dedicated observed FlexTM(Lazy)/RBTree point at the
-// sweep's largest thread count with a frame-retaining pump, then renders
-// the run as a self-contained HTML report. When a bench artifact was
-// recorded this invocation and the baseline artifact is readable, the
-// report embeds their comparison.
-func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *benchfmt.Artifact, threshold float64, iv sim.Time) {
+// dedicatedRun runs the FlexTM(Lazy)/RBTree point at the sweep's largest
+// thread count that -trace-out and -report render, with whole-run flight
+// rings (warning if they wrapped anyway), and returns its result.
+func dedicatedRun(sc harness.SweepConfig, pump *observatory.Pump) harness.Result {
 	threads := 1
 	for _, th := range sc.Threads {
 		if th > threads {
 			threads = th
 		}
 	}
-	if iv == 0 {
-		// Finer than the watch default: the report's charts want a few dozen
-		// points out of a single paper-scale run.
-		iv = 20_000
-	}
 	f, _ := workloads.ByName("RBTree")
-	pump := observatory.NewPump(observatory.Config{Interval: iv, Retain: true})
-	res, err := harness.Run(harness.RunConfig{
+	res, err := sc.RunCell(harness.RunConfig{
 		System: harness.FlexTMLazy, Workload: f, Threads: threads,
 		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: sc.Verify,
-		Observe: pump,
-		// Flight on with deep rings: the report's FlightQL drill-down
-		// appendix queries the complete end-of-run stream.
-		Flight: true, FlightPerCore: 1 << 17,
+		Metrics: sc.Metrics, Observe: pump,
+		Flight: true, FlightPerCore: flight.WholeRunPerCore,
 	})
 	if err != nil {
 		fatal(err)
@@ -356,6 +346,25 @@ func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *bench
 	if sc.OnResult != nil {
 		sc.OnResult(res)
 	}
+	if lost := res.Flight.Overwritten(); lost > 0 {
+		fmt.Fprintf(os.Stderr, "paperbench: WARNING: %d flight records overwritten; the %s@%d artifact covers only the end of the run\n",
+			lost, res.Workload, res.Threads)
+	}
+	return res
+}
+
+// writeReport runs the dedicated point observed by a frame-retaining pump,
+// then renders it as a self-contained HTML report. When a bench artifact
+// was recorded this invocation and the baseline artifact is readable, the
+// report embeds their comparison.
+func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *benchfmt.Artifact, threshold float64, iv sim.Time) {
+	if iv == 0 {
+		// Finer than the watch default: the report's charts want a few dozen
+		// points out of a single paper-scale run.
+		iv = 20_000
+	}
+	pump := observatory.NewPump(observatory.Config{Interval: iv, Retain: true})
+	res := dedicatedRun(sc, pump)
 	d := observatory.ReportData{
 		Title:   fmt.Sprintf("FlexTM run report — %s / %s @ %d threads", res.System, res.Workload, res.Threads),
 		Frames:  pump.Frames(),
@@ -364,9 +373,7 @@ func writeReport(sc harness.SweepConfig, path, baselinePath string, bench *bench
 	if fin := pump.Final(); fin != nil {
 		d.Meta = fin.Meta
 	}
-	if res.Flight != nil {
-		d.FlightRecs = res.Flight.Snapshot()
-	}
+	d.FlightRecs = res.Flight.Snapshot()
 	if bench != nil {
 		d.Bench = bench
 		if base, err := benchfmt.ReadFile(baselinePath); err == nil {
@@ -508,42 +515,24 @@ func newJSONPoint(res harness.Result) jsonPoint {
 	return p
 }
 
-// writeTimeline runs one traced FlexTM(Lazy) RBTree point at the sweep's
-// largest thread count and dumps the per-core timeline as Chrome
-// trace_event JSON.
+// writeTimeline renders the dedicated point's flight records as a Chrome
+// trace_event timeline: attempt spans, kill arrows and the critical path.
 func writeTimeline(sc harness.SweepConfig, path string) {
-	threads := 1
-	for _, th := range sc.Threads {
-		if th > threads {
-			threads = th
-		}
-	}
-	f, _ := workloads.ByName("RBTree")
-	rec := trace.NewRecorder()
-	res, err := harness.Run(harness.RunConfig{
-		System: harness.FlexTMLazy, Workload: f, Threads: threads,
-		OpsPerThread: sc.Ops, Machine: sc.Machine, Verify: sc.Verify,
-		Tracer: rec, Metrics: sc.Metrics, Flight: sc.Flight,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if sc.OnResult != nil {
-		sc.OnResult(res)
-	}
+	res := dedicatedRun(sc, nil)
+	recs := res.Flight.Snapshot()
 	file, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	if err := trace.WriteChrome(file, rec.Events()); err != nil {
+	if err := causal.Analyze(recs, causal.Options{Cores: sc.Machine.Cores}).WriteChrome(file); err != nil {
 		file.Close()
 		fatal(err)
 	}
 	if err := file.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(out, "== timeline: %d events from FlexTM(Lazy)/RBTree@%d -> %s ==\n",
-		len(rec.Events()), threads, path)
+	fmt.Fprintf(out, "== timeline: %d flight records from %s/%s@%d -> %s ==\n",
+		len(recs), res.System, res.Workload, res.Threads, path)
 }
 
 // flushPartial, when set, writes the bench artifact recorded so far. fatal

@@ -258,18 +258,6 @@ func (c *Cache) pushVictim(ln Line) []Line {
 	return c.spills
 }
 
-// Invalidate drops the line holding l, if present, and returns its prior
-// contents (for writeback decisions).
-func (c *Cache) Invalidate(l memory.LineAddr) (Line, bool) {
-	if ln := c.Lookup(l); ln != nil {
-		old := *ln
-		ln.State = Invalid
-		ln.Alert = false
-		return old, true
-	}
-	return Line{}, false
-}
-
 // FlashCommit applies the CAS-Commit success transition to every line:
 // TMI -> M (speculative data becomes the committed copy) and TI -> I.
 // It returns the lines that were TMI (now M), sets ascending and then the
@@ -318,17 +306,6 @@ func (c *Cache) TMILines() []memory.LineAddr {
 // owner context).
 func (c *Cache) ClearAlerts() {
 	c.flash(alertMarks, func(ln *Line) { ln.Alert = false })
-}
-
-// Resident returns the number of valid lines (set array + victim buffer).
-func (c *Cache) Resident() int {
-	n := 0
-	c.forEach(func(ln *Line) {
-		if ln.State != Invalid {
-			n++
-		}
-	})
-	return n
 }
 
 // Config returns the cache geometry.

@@ -152,30 +152,31 @@ func TestTMILines(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := small()
-	c.Insert(Line{Tag: 9, State: Modified, Data: memory.LineData{1, 2}})
-	old, ok := c.Invalidate(9)
-	if !ok || old.State != Modified || old.Data[1] != 2 {
-		t.Fatal("Invalidate did not return prior contents")
+// resident counts the valid lines of the set array and victim buffer.
+func resident(c *Cache) int {
+	n := 0
+	for _, ln := range c.lines {
+		if ln.State != Invalid {
+			n++
+		}
 	}
-	if c.Lookup(9) != nil {
-		t.Fatal("line still resident after Invalidate")
+	for _, ln := range c.victim {
+		if ln.State != Invalid {
+			n++
+		}
 	}
-	if _, ok := c.Invalidate(9); ok {
-		t.Fatal("Invalidate of absent line reported ok")
-	}
+	return n
 }
 
 func TestResidentCount(t *testing.T) {
 	c := small()
-	if c.Resident() != 0 {
+	if resident(c) != 0 {
 		t.Fatal("fresh cache not empty")
 	}
 	c.Insert(Line{Tag: 1, State: Shared})
 	c.Insert(Line{Tag: 2, State: Exclusive})
-	if c.Resident() != 2 {
-		t.Fatalf("Resident = %d, want 2", c.Resident())
+	if n := resident(c); n != 2 {
+		t.Fatalf("resident = %d, want 2", n)
 	}
 }
 
@@ -348,9 +349,9 @@ func refClearAlerts(c *Cache) {
 // TestFlashOpsMatchFullWalk drives a cache and a reference copy through the
 // same random operations. The reference's flash operations walk every
 // line; the cache's visit only the sets it marked. Sets, victim buffer,
-// return values and Resident must agree after every operation. Lookups must
-// find what a linear scan of the sets and the whole victim buffer finds,
-// and the per-set victim counts must equal a recount.
+// return values and resident counts must agree after every operation.
+// Lookups must find what a linear scan of the sets and the whole victim
+// buffer finds, and the per-set victim counts must equal a recount.
 func TestFlashOpsMatchFullWalk(t *testing.T) {
 	geoms := []Config{
 		DefaultL1Config(),
@@ -394,11 +395,17 @@ func TestFlashOpsMatchFullWalk(t *testing.T) {
 						g.Alert, w.Alert = true, true
 					}
 				case k < 90:
+					// Invalidate the way the protocol does: look the line
+					// up and clear its state and A bit in place.
 					what = "invalidate"
-					g, gok := got.Invalidate(l)
-					w, wok := want.Invalidate(l)
-					if g != w || gok != wok {
-						t.Fatalf("%+v seed %d op %d: Invalidate(%d) = %v %v, want %v %v", cfg, seed, op, l, g, gok, w, wok)
+					g, w := got.Lookup(l), want.Lookup(l)
+					if (g == nil) != (w == nil) {
+						t.Fatalf("%+v seed %d op %d: Lookup(%d) hit %v, want %v", cfg, seed, op, l, g != nil, w != nil)
+					}
+					for _, ln := range []*Line{g, w} {
+						if ln != nil {
+							ln.State, ln.Alert = Invalid, false
+						}
 					}
 				case k < 94:
 					what = "commit"
@@ -418,8 +425,8 @@ func TestFlashOpsMatchFullWalk(t *testing.T) {
 				if !sameLines(got, want) {
 					t.Fatalf("%+v seed %d op %d (%s): cache contents diverge from the full walk", cfg, seed, op, what)
 				}
-				if g, w := got.Resident(), want.Resident(); g != w {
-					t.Fatalf("%+v seed %d op %d (%s): Resident = %d, want %d", cfg, seed, op, what, g, w)
+				if g, w := resident(got), resident(want); g != w {
+					t.Fatalf("%+v seed %d op %d (%s): resident = %d, want %d", cfg, seed, op, what, g, w)
 				}
 				for si, n := range victimRecount(got) {
 					if got.victimsIn[si] != n {

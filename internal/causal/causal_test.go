@@ -2,6 +2,7 @@ package causal
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"flextm/internal/cst"
@@ -128,6 +129,98 @@ func TestFailedCASInventsNoAttempt(t *testing.T) {
 	}
 	if got := rep.PerCore[0][0].KillLine; got != 0x40 {
 		t.Fatalf("kill line = 0x%x, want 0x40 (first CAS wins)", got)
+	}
+}
+
+// TestAnalyzeWindowEdges: a window cut from a longer run starts and ends
+// mid-attempt. A commit or abort whose begin was lost still counts, as a
+// zero-width attempt at its record, so the totals match the runtime's
+// counters; an attempt the window ends inside is kept as Open up to the
+// window's end; a kill aimed at a core the window has not seen yet lands
+// on that core's lost head attempt, which its next begin cuts (still
+// Open). Well-formed attempts beside them are untouched.
+func TestAnalyzeWindowEdges(t *testing.T) {
+	type att struct {
+		start, end sim.Time
+		outcome    Outcome
+		killer     int
+	}
+	cases := []struct {
+		name                      string
+		cores                     int
+		recs                      func(s *stream)
+		commits, aborts, attempts int
+		winEnd                    sim.Time
+		perCore                   [][]att
+	}{{
+		name: "orphans", cores: 3,
+		recs: func(s *stream) {
+			s.add(10, 0, flight.TxnCommit, -1, 0, 0, 0) // begin lost
+			s.add(20, 1, flight.TxnAbort, -1, 0, 0, 0)  // begin lost
+			s.add(30, 2, flight.TxnBegin, -1, 0, 0, 0)
+			s.add(90, 2, flight.TxnCommit, -1, 0, 0, 0)
+		},
+		commits: 2, aborts: 1, attempts: 3, winEnd: 90,
+		perCore: [][]att{
+			{{10, 10, Committed, -1}},
+			{{20, 20, Aborted, -1}},
+			{{30, 90, Committed, -1}},
+		},
+	}, {
+		name: "open at end", cores: 2,
+		recs: func(s *stream) {
+			s.add(0, 0, flight.TxnBegin, -1, 0, 0, 0)
+			s.add(5, 1, flight.TxnBegin, -1, 0, 0, 0)
+			s.add(50, 1, flight.TxnCommit, -1, 0, 0, 0)
+		},
+		commits: 1, aborts: 0, attempts: 2, winEnd: 50,
+		perCore: [][]att{
+			{{0, 50, Open, -1}},
+			{{5, 50, Committed, -1}},
+		},
+	}, {
+		name: "truncated stream", cores: 4,
+		recs: func(s *stream) {
+			s.add(10, 1, flight.TxnCommit, -1, 0, 0, 0) // begin lost
+			s.add(12, 2, flight.TxnAbort, -1, 0, 0, 0)  // begin lost
+			s.add(20, 0, flight.TxnBegin, -1, 0, 0, 0)
+			s.add(25, 0, flight.AbortEnemy, 3, 0, 0x40, 0) // core 3's begin lost
+			s.add(28, 3, flight.TxnBegin, -1, 0, 0, 0)     // never resolves
+			s.add(30, 0, flight.TxnCommit, -1, 0, 0, 0)
+		},
+		commits: 2, aborts: 1, attempts: 5, winEnd: 30,
+		perCore: [][]att{
+			{{20, 30, Committed, -1}},
+			{{10, 10, Committed, -1}},
+			{{12, 12, Aborted, -1}},
+			{{25, 28, Open, 0}, {28, 30, Open, -1}},
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s stream
+			tc.recs(&s)
+			rep := Analyze(s.recs, Options{Cores: tc.cores})
+			if rep.Commits != tc.commits || rep.Aborts != tc.aborts || rep.Attempts != tc.attempts {
+				t.Errorf("commits/aborts/attempts = %d/%d/%d, want %d/%d/%d",
+					rep.Commits, rep.Aborts, rep.Attempts, tc.commits, tc.aborts, tc.attempts)
+			}
+			if rep.WinEnd != tc.winEnd {
+				t.Errorf("window end = %d, want %d", rep.WinEnd, tc.winEnd)
+			}
+			if len(rep.PerCore) != len(tc.perCore) {
+				t.Fatalf("%d cores, want %d", len(rep.PerCore), len(tc.perCore))
+			}
+			for c, want := range tc.perCore {
+				var got []att
+				for _, a := range rep.PerCore[c] {
+					got = append(got, att{a.Start, a.End, a.Outcome, a.KillerCore})
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("core %d attempts = %v, want %v", c, got, want)
+				}
+			}
+		})
 	}
 }
 

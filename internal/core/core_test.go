@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"flextm/internal/cache"
+	"flextm/internal/causal"
 	"flextm/internal/cm"
+	"flextm/internal/flight"
 	"flextm/internal/memory"
 	"flextm/internal/sim"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 )
 
 func testCfg() tmesi.Config {
@@ -504,11 +505,14 @@ func TestEscapeActionsViaThreadOps(t *testing.T) {
 	}
 }
 
-func TestTracerRecordsLifecycle(t *testing.T) {
+// TestFlightRecordsLifecycle: the flight recorder is the runtime's one
+// event stream, so its commit and abort records must account for every
+// attempt the runtime counts, each spanning a non-zero interval.
+func TestFlightRecordsLifecycle(t *testing.T) {
 	sys := tmesi.New(testCfg())
+	fl := flight.New(testCfg().Cores, 0)
+	sys.SetFlight(fl)
 	rt := New(sys, Eager, cm.NewPolka())
-	rec := trace.NewRecorder()
-	rt.Tracer = rec
 	x := sys.Alloc().Alloc(1)
 	bodies := make([]func(tmapi.Thread), 4)
 	for i := range bodies {
@@ -521,15 +525,26 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 		}
 	}
 	runThreads(t, rt, bodies...)
-	s := rec.Summarize()
-	if s.Commits != 40 {
-		t.Fatalf("traced commits = %d, want 40", s.Commits)
+	if fl.Overwritten() != 0 {
+		t.Fatalf("%d flight records overwritten", fl.Overwritten())
 	}
-	if uint64(s.Aborts) != rt.Stats().Aborts {
-		t.Fatalf("traced aborts %d != runtime aborts %d", s.Aborts, rt.Stats().Aborts)
+	rep := causal.Analyze(fl.Snapshot(), causal.Options{Cores: testCfg().Cores})
+	st := rt.Stats()
+	if st.Commits != 40 || uint64(rep.Commits) != st.Commits {
+		t.Fatalf("recorded commits = %d, runtime commits = %d, want 40", rep.Commits, st.Commits)
 	}
-	if len(s.AttemptCycles) == 0 || s.Percentile(50) == 0 {
-		t.Fatal("no attempt latency samples recorded")
+	if st.Aborts == 0 || uint64(rep.Aborts) != st.Aborts {
+		t.Fatalf("recorded aborts %d, runtime aborts %d, want equal and non-zero", rep.Aborts, st.Aborts)
+	}
+	if rep.Attempts != rep.Commits+rep.Aborts {
+		t.Fatalf("%d attempts, %d commits + %d aborts: some attempt never ended", rep.Attempts, rep.Commits, rep.Aborts)
+	}
+	for c := range rep.PerCore {
+		for _, a := range rep.PerCore[c] {
+			if a.End <= a.Start {
+				t.Fatalf("core %d attempt %d spans [%d, %d]", c, a.Index, a.Start, a.End)
+			}
+		}
 	}
 }
 

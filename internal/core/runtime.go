@@ -26,7 +26,6 @@ import (
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 )
 
 // TSW values. A fresh slot is zero (invalid), so stale CAS attempts from
@@ -173,10 +172,6 @@ type Runtime struct {
 	// back-off; the multiprogramming experiment (Figure 5e,f) uses it to
 	// donate the CPU to background work.
 	OnAbortYield func(th *Thread)
-
-	// Tracer, if set, records transaction-level events for post-mortem
-	// analysis (see internal/trace).
-	Tracer *trace.Recorder
 
 	// tel mirrors the machine's telemetry registry (captured at New; nil
 	// when telemetry is off). The runtime charges contention-manager

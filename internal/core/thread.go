@@ -10,7 +10,6 @@ import (
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 )
 
 // Thread is one application thread under the FlexTM runtime.
@@ -174,8 +173,6 @@ func (th *Thread) watchdogTripped(sectionStart sim.Time) bool {
 		(live.MaxStallCycles > 0 && th.ctx.Now()-sectionStart >= live.MaxStallCycles)
 	if tripped {
 		th.rt.tel.Inc(th.core, telemetry.CtrWatchdogTrip)
-		th.rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "watchdog",
-			What: "trip", Arg: int64(th.consecAborts)})
 		th.rt.fl.Rec(th.core, th.ctx.Now(), flight.WatchdogTrip, -1, clamp8(th.consecAborts), 0)
 		th.rt.dumpFlight(th.core)
 	}
@@ -193,7 +190,6 @@ func (th *Thread) escalate(stamp uint64, body func(tmapi.Txn)) {
 	rt := th.rt
 	rt.stats[th.core].Escalations++
 	rt.tel.Inc(th.core, telemetry.CtrEscalation)
-	rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "watchdog", What: "escalate"})
 	rt.fl.Rec(th.core, th.ctx.Now(), flight.Escalate, -1, 0, 0)
 	if rt.fallback == nil {
 		rt.fallback = cgl.NewSpinlock(rt.sys)
@@ -262,7 +258,6 @@ func (th *Thread) begin(stamp uint64) {
 	// stale status word that can never read "active".
 	sys.Store(th.ctx, th.core, rt.tswEntry(th.core), uint64(d.tsw))
 	th.ctx.Advance(rt.costs.Begin)
-	th.emit(trace.Begin, -1)
 	rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnBegin, -1, 0, 0)
 	// Record the begin before the alert poll below: if the poll aborts us,
 	// the oracle must still see a begin/abort pair, not an orphan abort.
@@ -275,7 +270,6 @@ func (th *Thread) begin(stamp uint64) {
 // CAS-Commit failure path has not already) and clears the descriptor.
 func (th *Thread) onAbort() {
 	sys := th.rt.sys
-	th.emit(trace.Abort, -1)
 	th.rt.fl.Rec(th.core, th.ctx.Now(), flight.TxnAbort, -1, 0, 0)
 	th.rt.orc.Abort(th.core, th.ctx.Now())
 	th.d.live = false
@@ -409,14 +403,10 @@ func (th *Thread) resolveConflict(c tmesi.Conflict) {
 		switch dec {
 		case cm.AbortSelf:
 			rt.tel.Inc(th.core, telemetry.CtrCMAbortSelf)
-			rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "cm", What: "abort-self", Arg: int64(c.Responder)})
-			th.emit(trace.ConflictAbortSelf, c.Responder)
 			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortSelf, c.Responder, fpAux(c.FP), c.Line)
 			abortPanic()
 		case cm.AbortEnemy:
 			rt.tel.Inc(th.core, telemetry.CtrCMAbortEnemy)
-			rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core, Mech: "cm", What: "abort-enemy", Arg: int64(c.Responder)})
-			th.emit(trace.ConflictAbortEnemy, c.Responder)
 			rt.fl.Rec(th.core, th.ctx.Now(), flight.AbortEnemy, c.Responder, fpAux(c.FP), c.Line)
 			th.abortRemote(c.Responder)
 			if h := rt.onAbortEnemy; h != nil {
@@ -547,7 +537,6 @@ func (th *Thread) commit() {
 			// commit's sequence stamp must precede every operation that can
 			// observe its writes.
 			rt.orc.Commit(th.core, th.ctx.Now())
-			th.emit(trace.Commit, -1)
 			var fb uint8
 			if th.inFallback {
 				fb = 1
@@ -590,18 +579,9 @@ func (th *Thread) commit() {
 			// retry path (and ultimately the watchdog) can see and escalate.
 			spins++
 			if lim := rt.live.MaxCommitRetries; lim > 0 && spins >= lim {
-				rt.tel.Emit(telemetry.Event{At: th.ctx.Now(), Core: th.core,
-					Mech: "watchdog", What: "commit-retry-budget", Arg: int64(spins)})
 				abortPanic()
 			}
 		}
-	}
-}
-
-// emit records a structured event on the runtime's tracer, if any.
-func (th *Thread) emit(k trace.Kind, enemy int) {
-	if rec := th.rt.Tracer; rec != nil {
-		rec.Add(trace.Event{At: th.ctx.Now(), Core: th.core, Kind: k, Enemy: enemy})
 	}
 }
 

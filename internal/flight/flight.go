@@ -152,6 +152,12 @@ type Recorder struct {
 // record) to stay resident.
 const DefaultPerCore = 4096
 
+// WholeRunPerCore is the ring capacity for artifacts that must cover a
+// whole run (the -trace-out timeline, the paperbench -report drill-down):
+// a default-ops FlexTM run at 16 threads writes under 7k records per core
+// (RandomGraph, Eager, is the deepest), so these rings do not wrap.
+const WholeRunPerCore = 1 << 17
+
 // New returns a recorder with perCore ring slots for each of cores cores.
 // perCore <= 0 selects DefaultPerCore.
 func New(cores, perCore int) *Recorder {

@@ -24,7 +24,6 @@ import (
 	"flextm/internal/telemetry"
 	"flextm/internal/tmapi"
 	"flextm/internal/tmesi"
-	"flextm/internal/trace"
 	"flextm/internal/workloads"
 )
 
@@ -93,9 +92,6 @@ type RunConfig struct {
 	// WarmupOps is the total untimed operation count, divided among the
 	// threads, before the measured region (defaults to DefaultWarmup).
 	WarmupOps int
-	// Tracer, if non-nil, records transaction-level events (FlexTM
-	// systems only; other runtimes ignore it).
-	Tracer *trace.Recorder
 	// Metrics attaches a telemetry registry to the machine before the run;
 	// the run's counter snapshot is returned in Result.Telemetry. Off by
 	// default: instrumentation sites then see a nil registry and pay only a
@@ -242,7 +238,6 @@ func Run(rc RunConfig) (Result, error) {
 		if rc.YieldTo != nil {
 			fx.OnAbortYield = func(th *core.Thread) { rc.YieldTo(th) }
 		}
-		fx.Tracer = rc.Tracer
 		if rc.Liveness != nil {
 			fx.SetLiveness(*rc.Liveness)
 		}

@@ -68,12 +68,11 @@ func (sc *SweepConfig) ensureCache() error {
 }
 
 // cacheableRun reports whether rc's Result is a pure serializable function
-// of its serializable fields. Runs carrying live hooks (tracer, yield,
-// observation, governor), a liveness override, or the oracle are executed
-// live: their value is in the side effects and reports the cache cannot
-// replay.
+// of its serializable fields. Runs carrying live hooks (yield, observation,
+// governor), a liveness override, or the oracle are executed live: their
+// value is in the side effects and reports the cache cannot replay.
 func cacheableRun(rc RunConfig) bool {
-	return rc.Tracer == nil && rc.YieldTo == nil && rc.Liveness == nil &&
+	return rc.YieldTo == nil && rc.Liveness == nil &&
 		!rc.Oracle && rc.Observe == nil && rc.Govern == nil
 }
 

@@ -20,8 +20,6 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-
-	"flextm/internal/sim"
 )
 
 // Counter identifies one per-core event counter.
@@ -262,17 +260,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return 1<<63 - 1
 }
 
-// Event is one structured occurrence recorded by the event sink, for
-// post-mortem inspection of mechanism behavior at finer grain than
-// counters (e.g. each contention-manager verdict with its enemy).
-type Event struct {
-	At   sim.Time
-	Core int
-	Mech string // mechanism tag: "cm", "ot", ...
-	What string // event name within the mechanism
-	Arg  int64  // event-specific operand (enemy core, line count, ...)
-}
-
 // coreSlot holds one core's counters and histograms.
 type coreSlot struct {
 	ctr  [NumCounters]uint64
@@ -283,13 +270,7 @@ type coreSlot struct {
 // *Registry is valid and means "disabled": all update methods return
 // immediately.
 type Registry struct {
-	cores    []coreSlot
-	events   []Event
-	eventCap int
-	// eventsDropped counts Emit calls refused because the sink was full —
-	// the consumer's signal that Events() is a truncated prefix, not the
-	// whole story.
-	eventsDropped uint64
+	cores []coreSlot
 }
 
 // New returns an enabled registry sized for the given core count.
@@ -324,49 +305,7 @@ func (r *Registry) Observe(core int, h HistID, v uint64) {
 	r.cores[core].hist[h].observe(v)
 }
 
-// EnableEvents switches the structured event sink on with the given
-// capacity (further events are dropped once full; 0 disables).
-func (r *Registry) EnableEvents(capacity int) {
-	if r == nil {
-		return
-	}
-	r.eventCap = capacity
-	if r.events == nil && capacity > 0 {
-		r.events = make([]Event, 0, min(capacity, 4096))
-	}
-}
-
-// Emit records a structured event if the sink is enabled and has room.
-// Events arriving at a full sink are counted in DroppedEvents rather than
-// silently discarded.
-func (r *Registry) Emit(e Event) {
-	if r == nil || r.eventCap == 0 {
-		return
-	}
-	if len(r.events) >= r.eventCap {
-		r.eventsDropped++
-		return
-	}
-	r.events = append(r.events, e)
-}
-
-// DroppedEvents returns how many events were refused by a full sink.
-func (r *Registry) DroppedEvents() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.eventsDropped
-}
-
-// Events returns the recorded structured events in order.
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}
-
-// Reset zeroes all counters, histograms, and events.
+// Reset zeroes all counters and histograms.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -374,8 +313,6 @@ func (r *Registry) Reset() {
 	for i := range r.cores {
 		r.cores[i] = coreSlot{}
 	}
-	r.events = r.events[:0]
-	r.eventsDropped = 0
 }
 
 // CoreSnapshot is one core's frozen telemetry state.
@@ -389,8 +326,6 @@ type CoreSnapshot struct {
 // longer run.
 type Snapshot struct {
 	Cores []CoreSnapshot
-	// DroppedEvents is the event sink's refusal count at snapshot time.
-	DroppedEvents uint64
 }
 
 // Snapshot returns a deep copy of the registry's current state (empty for a
@@ -399,7 +334,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{Cores: make([]CoreSnapshot, len(r.cores)), DroppedEvents: r.eventsDropped}
+	s := Snapshot{Cores: make([]CoreSnapshot, len(r.cores))}
 	for i := range r.cores {
 		s.Cores[i].Counters = r.cores[i].ctr
 		s.Cores[i].Hists = r.cores[i].hist
@@ -412,10 +347,7 @@ func (r *Registry) Snapshot() Snapshot {
 // underflow clamps to zero so a mismatched pair cannot produce garbage
 // deltas.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Cores:         make([]CoreSnapshot, len(s.Cores)),
-		DroppedEvents: sub(s.DroppedEvents, prev.DroppedEvents),
-	}
+	out := Snapshot{Cores: make([]CoreSnapshot, len(s.Cores))}
 	for i := range s.Cores {
 		out.Cores[i] = s.Cores[i]
 		if i >= len(prev.Cores) {
@@ -598,10 +530,6 @@ func (s Snapshot) Print(w io.Writer) {
 		}
 		fmt.Fprintf(w, "[hist %s] n=%d mean=%.0f p50<=%d p90<=%d p99<=%d\n",
 			h, m.Count, m.Mean(), m.Quantile(0.50), m.Quantile(0.90), m.Quantile(0.99))
-	}
-	if s.DroppedEvents > 0 {
-		fmt.Fprintf(w, "[events] dropped-events %d (sink capacity exceeded; event log is truncated)\n",
-			s.DroppedEvents)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -30,12 +31,7 @@ func TestNilRegistryIsSafeAndEmpty(t *testing.T) {
 	r.Inc(0, CtrProbes)
 	r.Add(3, CtrCycStall, 100)
 	r.Observe(1, HistCommitCycles, 42)
-	r.EnableEvents(10)
-	r.Emit(Event{Core: 0, Mech: "cm", What: "x"})
 	r.Reset()
-	if got := r.Events(); got != nil {
-		t.Fatalf("nil registry events = %v", got)
-	}
 	if s := r.Snapshot(); !s.Empty() {
 		t.Fatal("nil registry snapshot not empty")
 	}
@@ -96,22 +92,6 @@ func TestResetAndEmpty(t *testing.T) {
 	r.Reset()
 	if !r.Snapshot().Empty() {
 		t.Fatal("reset registry not empty")
-	}
-}
-
-func TestEventSink(t *testing.T) {
-	r := New(2)
-	r.Emit(Event{Mech: "cm"}) // sink disabled: dropped
-	if len(r.Events()) != 0 {
-		t.Fatal("events recorded before EnableEvents")
-	}
-	r.EnableEvents(2)
-	r.Emit(Event{At: 1, Mech: "cm", What: "wait"})
-	r.Emit(Event{At: 2, Mech: "cm", What: "abort-enemy"})
-	r.Emit(Event{At: 3, Mech: "cm", What: "overflow"}) // over capacity
-	ev := r.Events()
-	if len(ev) != 2 || ev[1].What != "abort-enemy" {
-		t.Fatalf("events = %+v", ev)
 	}
 }
 
@@ -212,7 +192,6 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 		nilReg.Inc(0, CtrProbes)
 		nilReg.Add(0, CtrCycStall, 7)
 		nilReg.Observe(0, HistCommitCycles, 7)
-		nilReg.Emit(Event{})
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %v per op", n)
 	}
@@ -237,5 +216,43 @@ func BenchmarkEnabledInc(b *testing.B) {
 	r := New(16)
 	for i := 0; i < b.N; i++ {
 		r.Inc(i&15, CtrProbes)
+	}
+}
+
+func TestEmptyHistIsGuarded(t *testing.T) {
+	var h Hist
+	if m := h.Mean(); m != 0 || math.IsNaN(m) {
+		t.Fatalf("empty Mean = %v, want 0", m)
+	}
+	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2, math.NaN()} {
+		if v := h.Quantile(q); v != 0 {
+			t.Fatalf("empty Quantile(%v) = %d, want 0", q, v)
+		}
+	}
+	// An empty snapshot histogram (the Print path) must also be zero-safe.
+	s := New(1).Snapshot()
+	m := s.Hist(HistID(0))
+	if v := m.Mean(); v != 0 {
+		t.Fatalf("snapshot empty Mean = %v", v)
+	}
+}
+
+func TestQuantileClampsOutOfRange(t *testing.T) {
+	var h Hist
+	for i := 0; i < 100; i++ {
+		h.observe(uint64(i))
+	}
+	lo, hi := h.Quantile(0), h.Quantile(1)
+	if got := h.Quantile(-5); got != lo {
+		t.Fatalf("Quantile(-5) = %d, want clamp to Quantile(0) = %d", got, lo)
+	}
+	if got := h.Quantile(7); got != hi {
+		t.Fatalf("Quantile(7) = %d, want clamp to Quantile(1) = %d", got, hi)
+	}
+	if got := h.Quantile(math.NaN()); got != lo {
+		t.Fatalf("Quantile(NaN) = %d, want clamp to Quantile(0) = %d", got, lo)
+	}
+	if q50 := h.Quantile(0.5); q50 < lo || q50 > hi {
+		t.Fatalf("Quantile(0.5) = %d outside [%d, %d]", q50, lo, hi)
 	}
 }

@@ -1,7 +1,9 @@
 package tmesi
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"flextm/internal/cache"
 	"flextm/internal/memory"
@@ -294,6 +296,40 @@ func BenchmarkTStoreCommitCycle(b *testing.B) {
 		}
 	})
 	e.Run()
+}
+
+// BenchmarkCASCommit is a successful CAS-Commit that flash-commits K TMI
+// lines. Each iteration also sets the status word, begins and issues the K
+// TStores (ns/op); commit-ns/op times the CASCommit call alone.
+func BenchmarkCASCommit(b *testing.B) {
+	for _, k := range []int{1, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			s := New(DefaultConfig())
+			e := sim.NewEngine()
+			var commit time.Duration
+			failed := 0
+			e.Spawn("b", 0, func(ctx *sim.Ctx) {
+				const tsw = memory.Addr(8)
+				for i := 0; i < b.N; i++ {
+					s.Store(ctx, 0, tsw, 1)
+					s.BeginTxn(0)
+					for j := 0; j < k; j++ {
+						s.TStore(ctx, 0, memory.Addr(1024+j*memory.LineWords), uint64(i))
+					}
+					start := time.Now()
+					if s.CASCommit(ctx, 0, tsw, 1, 2) != CommitOK {
+						failed++
+					}
+					commit += time.Since(start)
+				}
+			})
+			e.Run()
+			if failed > 0 {
+				b.Fatalf("%d of %d CAS-Commits failed", failed, b.N)
+			}
+			b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "commit-ns/op")
+		})
+	}
 }
 
 // BenchmarkProbeMiss is the directory miss/forward path: a load miss on
